@@ -87,7 +87,8 @@ int main() {
         sc.workload.window = smoke() ? sim::msec(1600) : sim::msec(2200);
         sc.chaos = cluster::ChaosSchedule::Config{};
         sc.chaos->seed = 0xF05C;
-        sc.chaos->networkFaults = false;  // bookie crash/restart only
+        sc.chaos->partitionFaults = false;  // bookie crash/restart only
+        sc.chaos->degradeFaults = false;
         sc.chaos->start = sim::msec(700);
         sc.chaos->horizon = smoke() ? sim::msec(900) : sim::msec(1400);
         sc.chaos->faults = smoke() ? 2 : 4;

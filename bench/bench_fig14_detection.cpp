@@ -34,10 +34,8 @@ cluster::ChaosSchedule::Config onlyClass(bool bookie, bool partition, bool degra
                                          bool outage, bool slowdown) {
     cluster::ChaosSchedule::Config c;
     c.bookieFaults = bookie;
-    c.networkFaults = partition || degrade;
     c.partitionFaults = partition;
     c.degradeFaults = degrade;
-    c.ltsFaults = outage || slowdown;
     c.ltsOutageFaults = outage;
     c.ltsSlowdownFaults = slowdown;
     return c;

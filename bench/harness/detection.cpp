@@ -49,7 +49,7 @@ DetectionResult runDetectionScenario(Report& report, const DetectionScenario& sc
         truth = schedule->faultWindows();
         truthJson = schedule->groundTruthJson();
     }
-    out.scores = detect::score(truth, monitor.alarms(), sc.scoring);
+    out.scores = detect::score(truth, monitor.alarms());
     out.ticks = monitor.ticks();
     out.guardrailsPassed = monitor.guardrailsPassed();
 

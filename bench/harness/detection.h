@@ -27,7 +27,6 @@ struct DetectionScenario {
     std::optional<cluster::ChaosSchedule::Config> chaos;
     detect::Monitor::Config monitor;
     std::vector<std::string> guardrails;  // SLO rules (soft alerts)
-    detect::ScoreConfig scoring;
 };
 
 struct DetectionResult {

@@ -8,6 +8,25 @@
 
 namespace pravega::baselines {
 
+namespace {
+constexpr int kReplicationFactor = 3;
+constexpr int kMinInsyncReplicas = 2;
+constexpr int kMaxInFlightPerBroker = 5;
+/// One produce request carries every ready batch for a broker, up to this
+/// size (max.request.size) — the real protocol's multi-partition produce
+/// requests.
+constexpr uint64_t kMaxRequestBytes = 1024 * 1024;
+/// Per-partition append pipeline on the leader (single-threaded log
+/// appender: CRC, copy, index update). This is the single-partition
+/// throughput ceiling the paper observes (~70 MB/s in Fig 7a).
+constexpr double kPartitionBytesPerSec = 70.0 * 1024 * 1024;
+constexpr sim::Duration kPartitionPerRequest = sim::usec(30);
+/// Broker page-cache flush cadence.
+constexpr sim::Duration kPageFlushInterval = sim::msec(200);
+/// Dirty-page backlog (seconds of drive time) beyond which produces stall.
+constexpr double kDirtyStallSeconds = 0.5;
+}  // namespace
+
 // ------------------------------------------------------------- cluster
 
 KafkaCluster::KafkaCluster(sim::Core& exec, sim::Network& net, sim::HostId firstBrokerHost,
@@ -28,7 +47,7 @@ void KafkaCluster::createTopic(const std::string& name, int partitions) {
     for (int p = 0; p < partitions; ++p) {
         Partition part;
         part.leader = p % cfg_.brokers;
-        for (int r = 1; r < cfg_.replicationFactor; ++r) {
+        for (int r = 1; r < kReplicationFactor; ++r) {
             part.followers.push_back((part.leader + r) % cfg_.brokers);
         }
         part.appendPipe = std::make_unique<sim::QueuedResource>(exec_, 1);
@@ -82,7 +101,7 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
         Partition* p = find(topicName, part2);
         if (p) p->dirtyByBroker[brokerId] += bytes;
         double backlogSec = sim::toSeconds(b.disk->backlog());
-        if (backlogSec > cfg_.dirtyStallSeconds) {
+        if (backlogSec > kDirtyStallSeconds) {
             return b.disk->write(fileId, 0, false);  // queue behind the drive
         }
         return sim::Future<sim::Unit>::ready(sim::Unit{});
@@ -90,7 +109,7 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
 
     auto state = std::make_shared<int>(0);  // replicas durable
     auto maybeFinish = [this, state, done, topic, partition, bytes, events, producedAt]() {
-        if (*state != cfg_.minInsyncReplicas) return;
+        if (*state != kMinInsyncReplicas) return;
         ++*state;  // fire once
         Partition* part2 = find(topic, partition);
         if (!part2) {
@@ -114,8 +133,7 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
     // Leader handles the request (CPU + the partition's single-threaded
     // append pipeline), writes locally, and replicates to followers in
     // parallel; ack when min.insync.replicas are durable.
-    sim::Duration pipeWork =
-        cfg_.partitionPerRequest + sim::transferTime(bytes, cfg_.partitionBytesPerSec);
+    sim::Duration pipeWork = kPartitionPerRequest + sim::transferTime(bytes, kPartitionBytesPerSec);
     leader.cpu->execute(bytes)
         .thenAsync([part, pipeWork](const sim::Unit&) { return part->appendPipe->acquire(pipeWork); })
         .onComplete([this, topic, partition, writeAt, state, maybeFinish,
@@ -128,15 +146,14 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
         for (int follower : part->followers) {
             Broker& leaderB = brokers_[static_cast<size_t>(part->leader)];
             Broker& followerB = brokers_[static_cast<size_t>(follower)];
-            uint64_t bytes2 = cfg_.wireOverheadBytes;
-            net_.send(leaderB.host, followerB.host, bytes2,
+            net_.send(leaderB.host, followerB.host, sim::kWireOverheadBytes,
                       [this, follower, topic, partition, writeAt, state, maybeFinish,
                        &leaderB, &followerB]() {
                           writeAt(follower, topic, partition)
                               .onComplete([this, state, maybeFinish, &leaderB,
                                            &followerB](const Result<sim::Unit>&) {
                                   net_.send(followerB.host, leaderB.host,
-                                            cfg_.wireOverheadBytes, [state, maybeFinish]() {
+                                            sim::kWireOverheadBytes, [state, maybeFinish]() {
                                                 ++*state;
                                                 maybeFinish();
                                             });
@@ -147,7 +164,7 @@ void KafkaCluster::produce(const std::string& topic, int partition, uint64_t byt
 }
 
 void KafkaCluster::pageFlushTick(int brokerId) {
-    exec_.scheduleWeak(cfg_.pageFlushInterval, [this, brokerId]() {
+    exec_.scheduleWeak(kPageFlushInterval, [this, brokerId]() {
         Broker& broker = brokers_[static_cast<size_t>(brokerId)];
         if (!cfg_.flushEveryMessage) {
             // The OS writes each partition's dirty pages as a separate
@@ -237,19 +254,19 @@ void KafkaProducer::closeBatch(int partition) {
 
 void KafkaProducer::trySend(int brokerId) {
     auto& queue = queued_[brokerId];
-    while (!queue.empty() && inFlight_[brokerId] < cluster_.cfg_.maxInFlightPerBroker) {
+    while (!queue.empty() && inFlight_[brokerId] < kMaxInFlightPerBroker) {
         // One produce REQUEST carries every ready batch for this broker
         // (multi-partition requests, like the real protocol).
         auto request = std::make_shared<std::vector<Batch>>();
         uint64_t requestBytes = 0;
         while (!queue.empty() && (request->empty() ||
-                                  requestBytes < cluster_.cfg_.maxRequestBytes)) {
+                                  requestBytes < kMaxRequestBytes)) {
             requestBytes += queue.front().bytes;
             request->push_back(std::move(queue.front()));
             queue.pop_front();
         }
         ++inFlight_[brokerId];
-        uint64_t wire = requestBytes + cluster_.cfg_.wireOverheadBytes;
+        uint64_t wire = requestBytes + sim::kWireOverheadBytes;
         sim::HostId brokerHost = cluster_.brokers_[static_cast<size_t>(brokerId)].host;
         cluster_.net_.send(clientHost_, brokerHost, wire, [this, request, requestBytes,
                                                            brokerId, brokerHost]() {
@@ -265,7 +282,7 @@ void KafkaProducer::trySend(int brokerId) {
                         if (!s.isOk()) *worst = s;
                         if (--*remaining > 0) return;
                         cluster_.net_.send(
-                            brokerHost, clientHost_, cluster_.cfg_.wireOverheadBytes,
+                            brokerHost, clientHost_, sim::kWireOverheadBytes,
                             [this, request, requestBytes, brokerId, worst]() {
                                 --inFlight_[brokerId];
                                 pendingBytes_ -= std::min(pendingBytes_, requestBytes);
@@ -339,7 +356,7 @@ void KafkaConsumer::fetchLoop() {
     auto& broker = cluster_.brokers_[static_cast<size_t>(leader)];
     broker.cpu->execute(bytes).onComplete([this, alive, out = std::move(out), bytes,
                                            brokerHost](const Result<sim::Unit>&) {
-        cluster_.net_.send(brokerHost, clientHost_, bytes + cluster_.cfg_.wireOverheadBytes,
+        cluster_.net_.send(brokerHost, clientHost_, bytes + sim::kWireOverheadBytes,
                            [this, alive, out]() {
                                if (!*alive) return;
                                for (const auto& rec : out) {

@@ -35,33 +35,14 @@ using MessageAck = std::function<void(Status)>;
 
 struct KafkaConfig {
     int brokers = 3;
-    int replicationFactor = 3;
-    int minInsyncReplicas = 2;
     /// log.flush.interval.messages=1 — fsync before every ack (§5.2).
     bool flushEveryMessage = false;
 
     // Producer knobs (defaults per §5.1: 128KB / 1ms).
     uint64_t batchBytes = 128 * 1024;
     sim::Duration lingerTime = sim::msec(1);
-    int maxInFlightPerBroker = 5;
-    /// One produce request carries every ready batch for a broker, up to
-    /// this size (max.request.size) — the real protocol's multi-partition
-    /// produce requests.
-    uint64_t maxRequestBytes = 1024 * 1024;
     uint64_t maxPendingBytes = 32 * 1024 * 1024;  // producer buffer.memory
 
-    /// Per-partition append pipeline on the leader (single-threaded log
-    /// appender: CRC, copy, index update). This is the single-partition
-    /// throughput ceiling the paper observes (~70 MB/s in Fig 7a).
-    double partitionBytesPerSec = 70.0 * 1024 * 1024;
-    sim::Duration partitionPerRequest = sim::usec(30);
-
-    // Broker page-cache flushing.
-    sim::Duration pageFlushInterval = sim::msec(200);
-    /// Dirty-page backlog (seconds of drive time) beyond which produces stall.
-    double dirtyStallSeconds = 0.5;
-
-    uint64_t wireOverheadBytes = 64;
     sim::CpuModel::Config cpu;
     sim::DiskModel::Config disk;
 };
@@ -161,7 +142,7 @@ private:
         int leader = 0;
         std::vector<int> followers;
         int64_t length = 0;
-        /// Serialized leader-side append pipeline (see partitionBytesPerSec).
+        /// Serialized leader-side append pipeline (see kPartitionBytesPerSec).
         std::unique_ptr<sim::QueuedResource> appendPipe;
         /// Page-cache bytes not yet written to disk, per replica broker.
         std::map<int, uint64_t> dirtyByBroker;

@@ -10,7 +10,27 @@ namespace pravega::baselines {
 
 namespace {
 constexpr const char* kLog = "pulsar-like";
-}
+/// Producer batch timer (§5.1: 1 ms when batching is enabled).
+constexpr sim::Duration kBatchTime = sim::msec(1);
+/// Extra dispatch passes when routing keys require key-ordered delivery
+/// (§5.5's 3.25x read-latency effect).
+constexpr int kKeyOrderedDispatchPasses = 3;
+/// The broker dispatcher is single-threaded: each delivery costs this much
+/// serialized work. With many partitions each delivery carries few events,
+/// so per-event efficiency collapses (Fig 8b's 76% read throughput drop at
+/// 16 partitions).
+constexpr sim::Duration kDispatchCost = sim::msec(1);
+/// Per-partition managed-ledger pipeline on the broker (Fig 7a: ~300 MB/s
+/// single-partition ceiling for Pulsar).
+constexpr double kPartitionBytesPerSec = 300.0 * 1024 * 1024;
+constexpr sim::Duration kPartitionPerRequest = sim::usec(20);
+/// Managed-ledger / netty pipeline latency per produce (not occupancy —
+/// requests overlap). Calibrated to the paper's Fig 6a/8a observation that
+/// Pulsar's write and e2e latencies sit well above Pravega's.
+constexpr sim::Duration kBrokerPipelineLatency = sim::msec(2);
+/// Catch-up reads from offloaded storage use small unpipelined blocks.
+constexpr uint64_t kOffloadReadBlockBytes = 48 * 1024;
+}  // namespace
 
 // --------------------------------------------------------------- cluster
 
@@ -103,14 +123,13 @@ void PulsarCluster::produce(const std::string& topic, int partition, uint64_t by
         done(Status(Err::IoError, "broker crashed (OOM)"));
         return;
     }
-    sim::Duration pipeWork =
-        cfg_.partitionPerRequest + sim::transferTime(bytes, cfg_.partitionBytesPerSec);
+    sim::Duration pipeWork = kPartitionPerRequest + sim::transferTime(bytes, kPartitionBytesPerSec);
     broker.cpu->execute(bytes)
         .thenAsync([part, pipeWork](const sim::Unit&) { return part->appendPipe->acquire(pipeWork); })
         .onComplete([this, topic, partition, bytes, events, withKeys,
                      producedAt, done, part](const Result<sim::Unit>&) {
-        exec_.schedule(cfg_.brokerPipelineLatency, [this, topic, partition, bytes, events,
-                                                    withKeys, producedAt, done, part]() {
+        exec_.schedule(kBrokerPipelineLatency, [this, topic, partition, bytes, events,
+                                                withKeys, producedAt, done, part]() {
         part->ledger->addEntry(zeros_.slice(0, bytes))
             .onComplete([this, topic, partition, bytes, events, withKeys, producedAt, done,
                          part](const Result<wal::EntryId>& r) {
@@ -214,7 +233,7 @@ void PulsarProducer::send(std::string_view key, uint32_t sizeBytes, MessageAck2 
 
 void PulsarProducer::armTimer(int partition) {
     uint64_t epoch = ++timerEpoch_[partition];
-    cluster_.exec_.schedule(cluster_.cfg_.batchTime, [this, partition, epoch]() {
+    cluster_.exec_.schedule(kBatchTime, [this, partition, epoch]() {
         auto it = timerEpoch_.find(partition);
         if (it == timerEpoch_.end() || it->second != epoch) return;
         auto bit = open_.find(partition);
@@ -246,7 +265,7 @@ void PulsarProducer::trySend(int partition) {
         }
         sim::HostId brokerHost =
             cluster_.brokers_[static_cast<size_t>(part->broker)].host;
-        uint64_t wire = batch->bytes + cluster_.cfg_.wireOverheadBytes;
+        uint64_t wire = batch->bytes + sim::kWireOverheadBytes;
         cluster_.net_.send(clientHost_, brokerHost, wire, [this, batch, partition,
                                                            brokerHost]() {
             cluster_.produce(
@@ -254,7 +273,7 @@ void PulsarProducer::trySend(int partition) {
                 batch->openedAt,
                 [this, batch, partition, brokerHost](Status s) {
                     cluster_.net_.send(brokerHost, clientHost_,
-                                       cluster_.cfg_.wireOverheadBytes,
+                                       sim::kWireOverheadBytes,
                                        [this, batch, partition, s]() {
                                            outstanding_[partition] -= std::min(
                                                outstanding_[partition], batch->bytes);
@@ -311,7 +330,7 @@ void PulsarConsumer::catchUpLoop() {
         // Historical read from offloaded storage: small block, one
         // outstanding request, index + entry lookups per block (§5.7's
         // "no configuration achieved read > write throughput").
-        uint64_t block = std::min<uint64_t>(cluster_.cfg_.offloadReadBlockBytes,
+        uint64_t block = std::min<uint64_t>(kOffloadReadBlockBytes,
                                             static_cast<uint64_t>(part->offloadedUpTo - offset_));
         cluster_.offloadStore_->get(block).onComplete([this, alive, block, brokerHost,
                                                        part](const Result<sim::Unit>&) {
@@ -320,7 +339,7 @@ void PulsarConsumer::catchUpLoop() {
             b.cpu->execute(block).onComplete([this, alive, block,
                                               brokerHost](const Result<sim::Unit>&) {
                 cluster_.net_.send(brokerHost, clientHost_,
-                                   block + cluster_.cfg_.wireOverheadBytes,
+                                   block + sim::kWireOverheadBytes,
                                    [this, alive, block]() {
                                        if (!*alive) return;
                                        offset_ += static_cast<int64_t>(block);
@@ -341,15 +360,12 @@ void PulsarConsumer::catchUpLoop() {
         uint64_t bytes = 0;
         uint32_t events = 0;
         sim::TimePoint oldest = cluster_.exec_.now();
-        bool withKeys = false;
         int64_t newOffset = offset_;
         sim::Duration hold = 0;
         for (const auto& rec : part->records) {
             if (rec.endOffset <= offset_) continue;
             if (rec.withKeys) {
-                withKeys = true;
-                hold = cluster_.cfg_.dispatchInterval *
-                       (cluster_.cfg_.keyOrderedDispatchPasses - 1);
+                hold = cluster_.cfg_.dispatchInterval * (kKeyOrderedDispatchPasses - 1);
                 if (rec.producedAt + hold > cluster_.exec_.now()) break;
             }
             bytes += rec.bytes;
@@ -377,11 +393,11 @@ void PulsarConsumer::catchUpLoop() {
         // throughput (§5.5); the single-threaded dispatcher charges per
         // delivery regardless.
         broker.dispatcher
-            ->acquire(cluster_.cfg_.dispatchCost + sim::transferTime(bytes, 4.0e9))
+            ->acquire(kDispatchCost + sim::transferTime(bytes, 4.0e9))
             .onComplete([this, alive, bytes, events, oldest,
                          brokerHost](const Result<sim::Unit>&) {
                 cluster_.net_.send(brokerHost, clientHost_,
-                                   bytes + cluster_.cfg_.wireOverheadBytes,
+                                   bytes + sim::kWireOverheadBytes,
                                    [this, alive, bytes, events, oldest]() {
                                        if (!*alive) return;
                                        onDelivery_(events, bytes,

@@ -42,41 +42,19 @@ struct PulsarConfig {
     // Producer batching (§5.1: 128KB / 1ms when enabled).
     bool batchingEnabled = true;
     uint64_t batchBytes = 128 * 1024;
-    sim::Duration batchTime = sim::msec(1);
     uint64_t maxPendingBytesPerPartition = 4 * 1024 * 1024;
 
     /// Broker → consumer dispatcher flush cadence (dominates Pulsar's
     /// end-to-end latency floor, §5.5).
     sim::Duration dispatchInterval = sim::msec(4);
-    /// Extra dispatch passes when routing keys require key-ordered
-    /// delivery (§5.5's 3.25x read-latency effect).
-    int keyOrderedDispatchPasses = 3;
-    /// The broker dispatcher is single-threaded: each delivery costs this
-    /// much serialized work. With many partitions each delivery carries
-    /// few events, so per-event efficiency collapses (Fig 8b's 76% read
-    /// throughput drop at 16 partitions).
-    sim::Duration dispatchCost = sim::msec(1);
 
     /// Broker memory limit; exceeding it crashes the broker (§5.6).
     uint64_t brokerMemoryLimitBytes = 512ULL * 1024 * 1024;
 
-    /// Per-partition managed-ledger pipeline on the broker (Fig 7a: ~300
-    /// MB/s single-partition ceiling for Pulsar).
-    double partitionBytesPerSec = 300.0 * 1024 * 1024;
-    sim::Duration partitionPerRequest = sim::usec(20);
-
-    /// Managed-ledger / netty pipeline latency per produce (not occupancy —
-    /// requests overlap). Calibrated to the paper's Fig 6a/8a observation
-    /// that Pulsar's write and e2e latencies sit well above Pravega's.
-    sim::Duration brokerPipelineLatency = sim::msec(2);
-
     // Tiered storage add-on (§5.7).
     bool offloadEnabled = false;
     uint64_t ledgerRolloverBytes = 64ULL * 1024 * 1024;
-    /// Catch-up reads from offloaded storage use small unpipelined blocks.
-    uint64_t offloadReadBlockBytes = 48 * 1024;
 
-    uint64_t wireOverheadBytes = 64;
     sim::CpuModel::Config cpu;
 };
 

@@ -38,7 +38,7 @@ EventReader::~EventReader() {
 
 void EventReader::syncTick() {
     uint64_t epoch = ++timerEpoch_;
-    exec_.scheduleWeak(cfg_.syncInterval, [this, epoch, alive = alive_]() {
+    exec_.scheduleWeak(kSyncInterval, [this, epoch, alive = alive_]() {
         if (!*alive || closed_ || epoch != timerEpoch_) return;
         sync_.fetchUpdates().onComplete([this, alive](const Result<sim::Unit>&) {
             if (!*alive || closed_) return;

@@ -23,6 +23,9 @@ struct EventRead {
 
 class EventReader {
 public:
+    /// Reader-group coordination cadence (state-sync fetch interval).
+    static constexpr sim::Duration kSyncInterval = sim::msec(100);
+
     EventReader(sim::Core& exec, sim::Network& net, sim::HostId readerHost,
                 controller::Controller& controller, controller::SegmentUri syncUri,
                 std::string readerName, ReaderConfig cfg);

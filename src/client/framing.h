@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <optional>
 
 #include "common/buf_chain.h"
 #include "common/buf_stats.h"
@@ -23,7 +22,7 @@ namespace pravega::client {
 constexpr size_t kEventHeaderBytes = 4;
 
 /// Upper bound on a single framed event's payload. Far above anything the
-/// client writes (batches cap at maxBatchBytes, single events are KBs), so
+/// client writes (batches cap at kMaxBatchBytes, single events are KBs), so
 /// a larger prefix can only be a corrupt or misaligned frame.
 constexpr uint32_t kMaxEventBytes = 16u * 1024 * 1024;
 
@@ -66,14 +65,6 @@ inline DecodeStatus peekEvent(const BufChain& buffer, uint32_t& len) {
     if (len > kMaxEventBytes) return DecodeStatus::Corrupt;
     if (buffer.size() - kEventHeaderBytes < len) return DecodeStatus::Partial;
     return DecodeStatus::Ok;
-}
-
-/// Legacy convenience for trusted, locally-framed buffers (resend harvest,
-/// state synchronizer): folds Corrupt into nullopt.
-inline std::optional<BytesView> decodeEvent(BytesView buffer, size_t& pos) {
-    BytesView payload;
-    if (decodeEventEx(buffer, pos, payload) != DecodeStatus::Ok) return std::nullopt;
-    return payload;
 }
 
 }  // namespace pravega::client

@@ -10,16 +10,15 @@ Result<std::unique_ptr<KeyValueTable>> KeyValueTable::create(sim::Core& exec,
     auto uri = controller.createInternalSegment("_kvtables/" + scopedName, /*isTable=*/true);
     if (!uri) return uri.status();
     return std::unique_ptr<KeyValueTable>(
-        new KeyValueTable(exec, net, clientHost, uri.value(), 64));
+        new KeyValueTable(exec, net, clientHost, uri.value()));
 }
 
 KeyValueTable::KeyValueTable(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
-                             controller::SegmentUri uri, uint64_t wireOverhead)
+                             controller::SegmentUri uri)
     : exec_(exec),
       net_(net),
       clientHost_(clientHost),
       uri_(std::move(uri)),
-      wireOverhead_(wireOverhead),
       alive_(std::make_shared<bool>(true)) {}
 
 template <typename T, typename Fn>
@@ -27,7 +26,7 @@ sim::Future<T> KeyValueTable::roundTrip(uint64_t requestBytes, Fn serverFn) {
     sim::Promise<T> done;
     auto fut = done.future();
     auto alive = alive_;
-    net_.send(clientHost_, uri_.store->host(), requestBytes + wireOverhead_,
+    net_.send(clientHost_, uri_.store->host(), requestBytes + sim::kWireOverheadBytes,
               [this, alive, serverFn = std::move(serverFn), done]() mutable {
                   auto* container = uri_.store->container(uri_.containerId);
                   if (!container) {
@@ -35,7 +34,7 @@ sim::Future<T> KeyValueTable::roundTrip(uint64_t requestBytes, Fn serverFn) {
                       return;
                   }
                   serverFn(container).onComplete([this, alive, done](const Result<T>& r) mutable {
-                      net_.send(uri_.store->host(), clientHost_, wireOverhead_,
+                      net_.send(uri_.store->host(), clientHost_, sim::kWireOverheadBytes,
                                 [done, r]() mutable { done.complete(r); });
                   });
               });

@@ -45,7 +45,7 @@ public:
 
 private:
     KeyValueTable(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
-                  controller::SegmentUri uri, uint64_t wireOverhead);
+                  controller::SegmentUri uri);
 
     template <typename T, typename Fn>
     sim::Future<T> roundTrip(uint64_t requestBytes, Fn serverFn);
@@ -54,7 +54,6 @@ private:
     sim::Network& net_;
     sim::HostId clientHost_;
     controller::SegmentUri uri_;
-    uint64_t wireOverhead_;
     std::shared_ptr<bool> alive_;
 };
 

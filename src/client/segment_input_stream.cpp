@@ -57,8 +57,7 @@ void SegmentInputStream::ensureFetching() {
     if (fetching_ || endOfSegment_ || failed_) return;
     fetching_ = true;
     auto alive = alive_;
-    uint64_t wire = cfg_.wireOverheadBytes;
-    net_.send(clientHost_, uri_.store->host(), wire, [this, alive]() {
+    net_.send(clientHost_, uri_.store->host(), sim::kWireOverheadBytes, [this, alive]() {
         if (!*alive) return;
         auto* container = uri_.store->container(uri_.containerId);
         if (!container) {
@@ -75,7 +74,7 @@ void SegmentInputStream::ensureFetching() {
         .onComplete([this, alive](const Result<segmentstore::ReadResult>& r) {
             if (!*alive) return;
             uint64_t respBytes =
-                cfg_.wireOverheadBytes + (r.isOk() ? r.value().data.size() : 0);
+                sim::kWireOverheadBytes + (r.isOk() ? r.value().data.size() : 0);
             net_.send(uri_.store->host(), clientHost_, respBytes, [this, alive, r]() {
                 if (!*alive) return;
                 onFetchComplete(r);

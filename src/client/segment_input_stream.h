@@ -17,9 +17,6 @@ namespace pravega::client {
 
 struct ReaderConfig {
     uint64_t fetchBytes = 256 * 1024;
-    uint64_t wireOverheadBytes = 64;
-    /// Reader-group coordination cadence (state-sync fetch interval).
-    sim::Duration syncInterval = sim::msec(100);
 };
 
 class SegmentInputStream {

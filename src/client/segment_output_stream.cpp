@@ -27,7 +27,7 @@ SegmentOutputStream::SegmentOutputStream(sim::Core& exec, sim::Network& net,
       cfg_(cfg),
       onSealed_(std::move(onSealed)),
       alive_(std::make_shared<bool>(true)),
-      rttEstimateNs_(static_cast<double>(cfg.initialRttGuess)),
+      rttEstimateNs_(static_cast<double>(kInitialRttGuess)),
       mBlocks_(exec.metrics().counter("client.writer.blocks")),
       mEvents_(exec.metrics().counter("client.writer.events")),
       mBlockBytes_(exec.metrics().histogram("client.writer.block_bytes")),
@@ -36,13 +36,13 @@ SegmentOutputStream::SegmentOutputStream(sim::Core& exec, sim::Network& net,
     // SetupAppend handshake: fetch the last event number recorded for this
     // writer id so a resumed writer continues from the right place (§3.2).
     setupDone_ = false;
-    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, [this, alive = alive_]() {
+    net_.send(clientHost_, store_->host(), sim::kWireOverheadBytes, [this, alive = alive_]() {
         if (!*alive) return;
         auto* container = store_->container(containerId_);
         int64_t last = container
                            ? container->getWriterLastEventNumber(segment_, writerId_)
                            : segmentstore::AttributeIndex::kNullValue;
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [this, alive, last]() {
+        net_.send(store_->host(), clientHost_, sim::kWireOverheadBytes, [this, alive, last]() {
             if (!*alive) return;
             nextEventNumber_ =
                 last == segmentstore::AttributeIndex::kNullValue ? 0 : last + 1;
@@ -83,7 +83,7 @@ uint64_t SegmentOutputStream::batchSizeEstimate() const {
     // bytes that arrive in RTT/2 at the current input rate).
     double halfRttSec = rttEstimateNs_ / 2.0 / 1e9;
     double bytesInHalfRtt = inputRateBytesPerSec_ * halfRttSec;
-    return std::min<uint64_t>(cfg_.maxBatchBytes,
+    return std::min<uint64_t>(kMaxBatchBytes,
                               std::max<uint64_t>(1, static_cast<uint64_t>(bytesInHalfRtt)));
 }
 
@@ -96,7 +96,7 @@ void SegmentOutputStream::maybeCloseBlock() {
         closeTimerArmed_ = true;
         uint64_t epoch = ++closeTimerEpoch_;
         sim::Duration wait = std::min<sim::Duration>(
-            cfg_.maxBatchTime, static_cast<sim::Duration>(rttEstimateNs_ / 2.0));
+            kMaxBatchTime, static_cast<sim::Duration>(rttEstimateNs_ / 2.0));
         exec_.schedule(std::max<sim::Duration>(wait, 1), [this, alive = alive_, epoch]() {
             if (!*alive) return;
             if (epoch != closeTimerEpoch_) return;
@@ -136,7 +136,7 @@ void SegmentOutputStream::trySend() {
 }
 
 void SegmentOutputStream::sendBlock(Block block) {
-    uint64_t wireBytes = block.payload.size() + cfg_.wireOverheadBytes;
+    uint64_t wireBytes = block.payload.size() + sim::kWireOverheadBytes;
     outstandingBytes_ += wireBytes;
     block.sentAt = exec_.now();
     if (block.lastEventNumber < 0) {
@@ -161,7 +161,7 @@ void SegmentOutputStream::sendBlock(Block block) {
 
     auto deliverAck = [this, alive = alive_, epoch, wireBytes](const Result<int64_t>& r) {
         if (!*alive) return;
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [this, alive, epoch, r,
+        net_.send(store_->host(), clientHost_, sim::kWireOverheadBytes, [this, alive, epoch, r,
                                                                         wireBytes]() {
             if (!*alive) return;
             if (epoch != connectionEpoch_) return;  // stale connection
@@ -233,9 +233,11 @@ void SegmentOutputStream::handleSealed(Block first) {
         BytesView src = b.payload.empty() ? BytesView(b.data) : b.payload.view();
         size_t pos = 0;
         for (auto& e : b.events) {
-            auto payload = decodeEvent(src, pos);
+            BytesView payload;
             ResendEvent re;
-            if (payload) re.payload.assign(payload->begin(), payload->end());
+            if (decodeEventEx(src, pos, payload) == DecodeStatus::Ok) {
+                re.payload.assign(payload.begin(), payload.end());
+            }
             re.keyHash = e.keyHash;
             re.ack = std::move(e.ack);
             events.push_back(std::move(re));
@@ -267,9 +269,9 @@ void SegmentOutputStream::simulateReconnect() {
         inFlight_.pop_back();
     }
     outstandingBytes_ = 0;
-    net_.send(clientHost_, store_->host(), cfg_.wireOverheadBytes, [this, alive = alive_]() {
+    net_.send(clientHost_, store_->host(), sim::kWireOverheadBytes, [this, alive = alive_]() {
         if (!*alive) return;
-        net_.send(store_->host(), clientHost_, cfg_.wireOverheadBytes, [this, alive]() {
+        net_.send(store_->host(), clientHost_, sim::kWireOverheadBytes, [this, alive]() {
             if (!*alive) return;
             setupDone_ = true;
             trySend();

@@ -29,13 +29,12 @@ namespace pravega::client {
 using segmentstore::SegmentId;
 using segmentstore::WriterId;
 
+constexpr uint64_t kMaxBatchBytes = 1024 * 1024;         // upper bound on one block
+constexpr sim::Duration kMaxBatchTime = sim::msec(10);  // bound on the close timer
+constexpr sim::Duration kInitialRttGuess = sim::msec(1);
+
 struct WriterConfig {
-    uint64_t maxBatchBytes = 1024 * 1024;      // upper bound on one block
-    sim::Duration maxBatchTime = sim::msec(10);   // bound on the close timer
     uint64_t maxOutstandingBytes = 16 * 1024 * 1024;  // connection window
-    sim::Duration initialRttGuess = sim::msec(1);
-    /// Per-request wire overhead (protocol framing).
-    uint64_t wireOverheadBytes = 64;
 };
 
 /// Callback invoked when an event is durably acknowledged (or failed).

@@ -34,12 +34,11 @@ template <typename State>
 class StateSynchronizer {
 public:
     StateSynchronizer(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
-                      controller::SegmentUri uri, uint64_t wireOverheadBytes = 64)
+                      controller::SegmentUri uri)
         : exec_(exec),
           net_(net),
           clientHost_(clientHost),
           uri_(std::move(uri)),
-          wireOverhead_(wireOverheadBytes),
           alive_(std::make_shared<bool>(true)) {}
 
     ~StateSynchronizer() { *alive_ = false; }
@@ -100,9 +99,8 @@ private:
 
     void applyUpdates(BytesView data) {
         size_t pos = 0;
-        while (auto update = decodeEvent(data, pos)) {
-            state_.apply(*update);
-        }
+        BytesView update;
+        while (decodeEventEx(data, pos, update) == DecodeStatus::Ok) state_.apply(update);
         offset_ += static_cast<int64_t>(pos);
     }
 
@@ -124,8 +122,8 @@ private:
         }
         int64_t want = info.value().length - offset_;
         auto alive = alive_;
-        net_.send(clientHost_, uri_.store->host(), wireOverhead_, [this, alive, want,
-                                                                   cb = std::move(cb)]() mutable {
+        net_.send(clientHost_, uri_.store->host(), sim::kWireOverheadBytes,
+                  [this, alive, want, cb = std::move(cb)]() mutable {
             if (!*alive) return;
             auto* c = uri_.store->container(uri_.containerId);
             if (!c) {
@@ -136,7 +134,8 @@ private:
                 .onComplete([this, alive, cb = std::move(cb)](
                                 const Result<segmentstore::ReadResult>& r) mutable {
                     if (!*alive) return;
-                    uint64_t bytes = wireOverhead_ + (r.isOk() ? r.value().data.size() : 0);
+                    uint64_t bytes =
+                        sim::kWireOverheadBytes + (r.isOk() ? r.value().data.size() : 0);
                     net_.send(uri_.store->host(), clientHost_, bytes,
                               [this, alive, cb = std::move(cb), r]() mutable {
                                   if (!*alive) return;
@@ -178,7 +177,7 @@ private:
             auto buf = SharedBuf(std::move(framed));
             int64_t expected = offset_;
             net_.send(
-                clientHost_, uri_.store->host(), buf.size() + wireOverhead_,
+                clientHost_, uri_.store->host(), buf.size() + sim::kWireOverheadBytes,
                 [this, alive, buf, expected, generator = std::move(generator), done,
                  tries]() mutable {
                     if (!*alive) return;
@@ -193,7 +192,7 @@ private:
                                      tries](const Result<int64_t>& r) mutable {
                             if (!*alive) return;
                             net_.send(
-                                uri_.store->host(), clientHost_, wireOverhead_,
+                                uri_.store->host(), clientHost_, sim::kWireOverheadBytes,
                                 [this, alive, buf, generator = std::move(generator), done,
                                  tries, r]() mutable {
                                     if (!*alive) return;
@@ -222,7 +221,6 @@ private:
     sim::Network& net_;
     sim::HostId clientHost_;
     controller::SegmentUri uri_;
-    uint64_t wireOverhead_;
     State state_;
     int64_t offset_ = 0;
     bool busy_ = false;

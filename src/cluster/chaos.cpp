@@ -40,18 +40,14 @@ void ChaosSchedule::generate() {
     for (int i = 0; i < cfg_.faults; ++i) {
         std::vector<Cls> classes;
         if (cfg_.bookieFaults && ccfg.bookies > 0) classes.push_back(Cls::Bookie);
-        if (cfg_.networkFaults) {
-            if (cfg_.partitionFaults) classes.push_back(Cls::PartitionSB);
-            if (cfg_.degradeFaults) classes.push_back(Cls::Degrade);
-        }
+        if (cfg_.partitionFaults) classes.push_back(Cls::PartitionSB);
+        if (cfg_.degradeFaults) classes.push_back(Cls::Degrade);
         if (cfg_.storeFaults && plannedStoreCrashes_ < cfg_.maxStoreCrashes &&
             plannedStoreCrashes_ + 1 < ccfg.segmentStores) {
             classes.push_back(Cls::Store);
         }
-        if (cfg_.ltsFaults) {
-            if (cfg_.ltsOutageFaults) classes.push_back(Cls::LtsOut);
-            if (cfg_.ltsSlowdownFaults) classes.push_back(Cls::LtsSlow);
-        }
+        if (cfg_.ltsOutageFaults) classes.push_back(Cls::LtsOut);
+        if (cfg_.ltsSlowdownFaults) classes.push_back(Cls::LtsSlow);
         if (classes.empty()) break;
 
         const sim::TimePoint slotStart = cfg_.start + static_cast<sim::Duration>(i) * slot;

@@ -63,18 +63,15 @@ public:
         /// closing events — restart/heal — ride in the same slot).
         int faults = 6;
 
-        // Which fault classes the generator may draw. The coarse switches
-        // (networkFaults, ltsFaults) gate whole groups for back-compat; the
-        // fine flags below select within a group, so e.g. a partition-only
-        // schedule is `networkFaults=true, degradeFaults=false`.
+        // Which fault classes the generator may draw; e.g. a partition-only
+        // schedule is `bookieFaults=false, degradeFaults=false`.
         bool bookieFaults = true;
-        bool networkFaults = true;
+        bool partitionFaults = true;
+        bool degradeFaults = true;
         bool storeFaults = false;  // store crashes are permanent; opt-in
-        bool ltsFaults = false;    // requires ClusterConfig::faultInjectLts
-        bool partitionFaults = true;    // within networkFaults
-        bool degradeFaults = true;      // within networkFaults
-        bool ltsOutageFaults = true;    // within ltsFaults
-        bool ltsSlowdownFaults = true;  // within ltsFaults
+        // LTS faults require ClusterConfig::faultInjectLts.
+        bool ltsOutageFaults = false;
+        bool ltsSlowdownFaults = false;
 
         /// Cap on how many stores may crash over the whole schedule (the
         /// generator additionally never crashes the last live store).

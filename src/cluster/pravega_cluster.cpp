@@ -53,8 +53,7 @@ PravegaCluster::PravegaCluster(ClusterConfig cfg)
         ltsTop_ = archiveLts_.get();
     }
     if (cfg_.compressLts) {
-        codecLts_ = std::make_unique<lts::CodecChunkStorage>(machine_, *ltsTop_,
-                                                             cfg_.ltsCodec);
+        codecLts_ = std::make_unique<lts::CodecChunkStorage>(machine_, *ltsTop_);
         ltsTop_ = codecLts_.get();
     }
 
@@ -76,7 +75,7 @@ PravegaCluster::PravegaCluster(ClusterConfig cfg)
         PLOG_ERROR("cluster", "container distribution failed: %s",
                    balanced.toString().c_str());
     }
-    controller_ = std::make_unique<controller::Controller>(machine_, *registry_, cfg_.controller);
+    controller_ = std::make_unique<controller::Controller>(machine_, *registry_);
 
     if (cfg_.rebalanceContainers) {
         rebalancer_ = std::make_unique<controller::Rebalancer>(machine_, *registry_, stores(),

@@ -39,7 +39,6 @@ struct ClusterConfig {
     sim::DiskModel::Config journalDrive;
     segmentstore::SegmentStore::Config store;
     sim::Link::Config link;
-    controller::Controller::Config controller;
 
     LtsKind ltsKind = LtsKind::SimulatedObject;
     sim::ObjectStoreModel::Config lts;
@@ -59,7 +58,6 @@ struct ClusterConfig {
     /// flush path (outermost decorator — archived chunks stay compressed).
     /// Off by default; the golden smoke JSON depends on that.
     bool compressLts = false;
-    lts::CodecChunkStorage::Config ltsCodec;
 
     /// Load-aware container rebalancing across segment stores: replaces
     /// the boot-time static `cid % N` placement with a greedy move-budget
@@ -75,8 +73,7 @@ struct ClusterConfig {
     /// Seed for the network's per-link fault PRNGs (probabilistic loss).
     uint64_t networkFaultSeed = 0x5EED0FFAULL;
 
-    /// Sharded-substrate shape: core count, cross-core hand-off latency,
-    /// per-core RNG seeding. The default (1 core) reproduces the pre-shard
+    /// Sharded-substrate shape: core count and per-core RNG seeding. The default (1 core) reproduces the pre-shard
     /// single-executor behavior byte-for-byte.
     sim::MachineConfig machine;
 };

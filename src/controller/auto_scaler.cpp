@@ -114,10 +114,10 @@ void AutoScaler::evaluateStream(const std::string& name, const StreamRecord& rec
             segRates[i] = value / windowSec;
         }
         SegmentId id = segments[i].id;
-        if (segRates[i] > cfg_.hotFactor * policy.targetRate) {
+        if (segRates[i] > kHotFactor * policy.targetRate) {
             ++hotWindows_[id];
             coldWindows_[id] = 0;
-        } else if (segRates[i] < cfg_.coldFactor * policy.targetRate) {
+        } else if (segRates[i] < kColdFactor * policy.targetRate) {
             ++coldWindows_[id];
             hotWindows_[id] = 0;
         } else {

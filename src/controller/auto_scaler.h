@@ -19,14 +19,15 @@ namespace pravega::controller {
 
 class AutoScaler {
 public:
+    /// Hot when rate > kHotFactor * targetRate.
+    static constexpr double kHotFactor = 1.0;
+    /// Cold when rate < kColdFactor * targetRate (both merge partners).
+    static constexpr double kColdFactor = 0.5;
+
     struct Config {
         sim::Duration pollInterval = sim::sec(1);
         /// Consecutive windows a segment must stay hot/cold before acting.
         int sustainWindows = 2;
-        /// Hot when rate > hotFactor * targetRate.
-        double hotFactor = 1.0;
-        /// Cold when rate < coldFactor * targetRate (both merge partners).
-        double coldFactor = 0.5;
         /// Minimum time between scale events on one stream.
         sim::Duration cooldown = sim::sec(4);
     };

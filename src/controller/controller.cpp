@@ -11,8 +11,8 @@ constexpr const char* kLog = "controller";
 constexpr const char* kStreamKeyPrefix = "streams/";
 }  // namespace
 
-Controller::Controller(sim::Core& exec, cluster::ContainerRegistry& registry, Config cfg)
-    : exec_(exec), registry_(registry), cfg_(cfg) {
+Controller::Controller(sim::Core& exec, cluster::ContainerRegistry& registry)
+    : exec_(exec), registry_(registry) {
     retentionTick();
 }
 
@@ -96,13 +96,11 @@ sim::Future<sim::Unit> Controller::deleteStream(const std::string& scopedName) {
         if (auto* c = containerOf(seg.id)) futures.push_back(c->deleteSegment(seg.id));
     }
     streams_.erase(it);
-    if (cfg_.persistMetadata) {
-        if (auto* meta = registry_.containerFor(cfg_.metadataContainer)) {
-            std::vector<segmentstore::TableUpdate> batch(1);
-            batch[0].key = kStreamKeyPrefix + scopedName;
-            batch[0].value = std::nullopt;  // removal
-            meta->tableUpdate(meta->systemTableSegment(), std::move(batch));
-        }
+    if (auto* meta = registry_.containerFor(kMetadataContainer)) {
+        std::vector<segmentstore::TableUpdate> batch(1);
+        batch[0].key = kStreamKeyPrefix + scopedName;
+        batch[0].value = std::nullopt;  // removal
+        meta->tableUpdate(meta->systemTableSegment(), std::move(batch));
     }
     return sim::whenAll(futures).then([](const sim::Unit&) { return sim::Unit{}; });
 }
@@ -278,10 +276,9 @@ uint32_t Controller::scaleEventCount(const std::string& scopedName) const {
 }
 
 void Controller::persist(const std::string& scopedName) {
-    if (!cfg_.persistMetadata) return;
     auto it = streams_.find(scopedName);
     if (it == streams_.end()) return;
-    auto* meta = registry_.containerFor(cfg_.metadataContainer);
+    auto* meta = registry_.containerFor(kMetadataContainer);
     if (!meta) return;
     Bytes value;
     BinaryWriter w(value);
@@ -296,7 +293,7 @@ void Controller::persist(const std::string& scopedName) {
 
 void Controller::retentionTick() {
     uint64_t epoch = ++retentionEpoch_;
-    exec_.scheduleWeak(cfg_.retentionInterval, [this, alive = alive_, epoch]() {
+    exec_.scheduleWeak(kRetentionInterval, [this, alive = alive_, epoch]() {
         if (!*alive || stopped_ || epoch != retentionEpoch_) return;
         for (auto& [name, rec] : streams_) {
             if (rec.config().retention.type == RetentionType::Size) {

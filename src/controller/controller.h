@@ -29,17 +29,12 @@ struct SegmentUri {
 
 class Controller {
 public:
-    struct Config {
-        /// Container hosting the controller's own metadata tables.
-        uint32_t metadataContainer = 0;
-        /// Retention policy enforcement cadence.
-        sim::Duration retentionInterval = sim::sec(5);
-        bool persistMetadata = true;
-    };
+    /// Container hosting the controller's own metadata tables.
+    static constexpr uint32_t kMetadataContainer = 0;
+    /// Retention policy enforcement cadence.
+    static constexpr sim::Duration kRetentionInterval = sim::sec(5);
 
-    Controller(sim::Core& exec, cluster::ContainerRegistry& registry)
-        : Controller(exec, registry, Config{}) {}
-    Controller(sim::Core& exec, cluster::ContainerRegistry& registry, Config cfg);
+    Controller(sim::Core& exec, cluster::ContainerRegistry& registry);
     ~Controller();
 
     // ---- stream life-cycle --------------------------------------------
@@ -97,7 +92,6 @@ private:
 
     sim::Core& exec_;
     cluster::ContainerRegistry& registry_;
-    Config cfg_;
 
     std::map<std::string, StreamRecord> streams_;
     std::map<std::string, bool> scopes_;

@@ -109,7 +109,7 @@ void TenantQuotaManager::tick() {
             // Multiplicative decrease toward the quota: measured rate is
             // offered × allowance, so scaling by quota/rate converges.
             state.allowance = std::max(
-                cfg_.minAllowance,
+                kMinAllowance,
                 state.allowance * state.quotaBytesPerSec / state.rate);
             throttledAny = true;
             throttleCounter_.inc();
@@ -117,7 +117,7 @@ void TenantQuotaManager::tick() {
                       tenant.c_str(), state.rate, state.quotaBytesPerSec,
                       state.allowance);
         } else if (state.allowance < 1.0) {
-            state.allowance = std::min(1.0, state.allowance * cfg_.recoverFactor);
+            state.allowance = std::min(1.0, state.allowance * kRecoverFactor);
         }
         exec_.metrics().gauge("ctrl.quota." + tenant + ".allowance").set(state.allowance);
     }

@@ -27,15 +27,16 @@ namespace pravega::controller {
 
 class TenantQuotaManager {
 public:
+    /// Allowance regrowth per poll while under quota (multiplicative,
+    /// clamped at 1.0) — fast enough to reclaim headroom, slow enough not to
+    /// oscillate against the decrease path.
+    static constexpr double kRecoverFactor = 1.25;
+    /// Throttle floor: a tenant is never squeezed below this fraction
+    /// (quotas bound, they don't starve).
+    static constexpr double kMinAllowance = 0.05;
+
     struct Config {
         sim::Duration pollInterval = sim::msec(500);
-        /// Allowance regrowth per poll while under quota (multiplicative,
-        /// clamped at 1.0) — fast enough to reclaim headroom, slow enough
-        /// not to oscillate against the decrease path.
-        double recoverFactor = 1.25;
-        /// Throttle floor: a tenant is never squeezed below this fraction
-        /// (quotas bound, they don't starve).
-        double minAllowance = 0.05;
     };
 
     TenantQuotaManager(sim::Core& exec, Controller& controller,
@@ -55,7 +56,7 @@ public:
     void tickNow() { tick(); }
 
     /// Fraction of offered load `tenant` may send right now, in
-    /// (minAllowance, 1]. 1.0 for unknown or unlimited tenants.
+    /// (kMinAllowance, 1]. 1.0 for unknown or unlimited tenants.
     double allowance(const std::string& tenant) const;
 
     /// Ingest rate (B/s) measured for `tenant` over the last poll window.

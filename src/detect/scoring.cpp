@@ -24,8 +24,7 @@ double ScoreReport::classRecall(const std::string& klass) const {
     return 1.0;  // no faults of this class: vacuously detected
 }
 
-ScoreReport score(const std::vector<FaultWindow>& faults, const std::vector<Alarm>& alarms,
-                  ScoreConfig cfg) {
+ScoreReport score(const std::vector<FaultWindow>& faults, const std::vector<Alarm>& alarms) {
     ScoreReport rep;
     rep.faults = static_cast<int>(faults.size());
     rep.totalAlarms = static_cast<int>(alarms.size());
@@ -39,7 +38,7 @@ ScoreReport score(const std::vector<FaultWindow>& faults, const std::vector<Alar
         sim::TimePoint firstHit = -1;
         for (size_t i = 0; i < alarms.size(); ++i) {
             const Alarm& a = alarms[i];
-            if (a.at < fw.start || a.at > fw.end + cfg.grace) continue;
+            if (a.at < fw.start || a.at > fw.end + kScoreGrace) continue;
             alarmMatched[i] = true;
             if (firstHit < 0) firstHit = a.at;
         }

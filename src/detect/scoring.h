@@ -36,10 +36,8 @@ struct FaultWindow {
     sim::TimePoint end = 0;
 };
 
-struct ScoreConfig {
-    /// Alarms up to this long after a fault window ends still match it.
-    sim::Duration grace = sim::msec(200);
-};
+/// Alarms up to this long after a fault window ends still match it.
+constexpr sim::Duration kScoreGrace = sim::msec(200);
 
 /// Per-fault-class roll-up.
 struct ClassScore {
@@ -73,8 +71,7 @@ struct ScoreReport {
 /// Scores `alarms` (detector fires AND guardrail breaches) against the
 /// ground-truth `faults`. Both inputs are virtual-time ordered as produced
 /// by ChaosSchedule::faultWindows() and Monitor::alarms().
-ScoreReport score(const std::vector<FaultWindow>& faults, const std::vector<Alarm>& alarms,
-                  ScoreConfig cfg = {});
+ScoreReport score(const std::vector<FaultWindow>& faults, const std::vector<Alarm>& alarms);
 
 /// Assembles one run object for the bench "detection" section:
 /// {"series":..,"ground_truth":..,"alarms":..,"guardrails":..,"scores":..,

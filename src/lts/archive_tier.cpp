@@ -16,7 +16,7 @@ ArchiveTierChunkStorage::ArchiveTierChunkStorage(sim::Core& exec, ChunkStorage& 
     : exec_(exec),
       primary_(primary),
       cfg_(cfg),
-      tape_(exec, cfg.tape),
+      tape_(exec),
       mMigrations_(exec.metrics().counter("lts.archive.migrations")),
       mMigratedBytes_(exec.metrics().counter("lts.archive.migrated_bytes")),
       mReads_(exec.metrics().counter("lts.archive.reads")),
@@ -142,7 +142,7 @@ void ArchiveTierChunkStorage::scanNow() {
     std::vector<std::string> picks;
     // Age policy first (name order: deterministic; every idle chunk is
     // eligible). Not-yet-idle chunks become size-pressure candidates unless
-    // they were appended within pressureMinIdle — an actively-written tail
+    // they were appended within kPressureMinIdle — an actively-written tail
     // chunk must never be a migration victim.
     std::vector<std::pair<sim::TimePoint, std::string>> candidates;
     for (auto& [name, m] : meta_) {
@@ -153,7 +153,7 @@ void ArchiveTierChunkStorage::scanNow() {
                 picks.push_back(name);
                 projected -= std::min(projected, m.bytes);
             }
-        } else if (idleFor >= cfg_.pressureMinIdle) {
+        } else if (idleFor >= kPressureMinIdle) {
             candidates.emplace_back(m.lastAppend, name);
         }
     }

@@ -7,7 +7,7 @@
 // life in the primary tier; a periodic scan migrates chunks that have been
 // idle past `minIdle` — or, while the primary footprint exceeds
 // `primaryCapacityBytes`, the least-recently-appended chunks (oldest
-// `lastAppend` first, and never one written within `pressureMinIdle`) — by
+// `lastAppend` first, and never one written within `kPressureMinIdle`) — by
 // copying them to the archive and then removing
 // the primary copy. Reads stay address-transparent: a caller never learns a
 // chunk moved except through latency (deep-read first byte) — payload bytes
@@ -44,8 +44,13 @@ namespace pravega::lts {
 
 class ArchiveTierChunkStorage : public ChunkStorage {
 public:
+    /// Floor on victim idleness under size pressure: a chunk appended within
+    /// this window is never migrated, so an actively-written tail chunk
+    /// cannot race its own appends (migrate() additionally aborts if an
+    /// append lands mid-flight).
+    static constexpr sim::Duration kPressureMinIdle = sim::msec(100);
+
     struct Config {
-        sim::TapeLibraryModel::Config tape;
         /// A chunk with no appends for this long becomes migratable (age
         /// policy).
         sim::Duration minIdle = sim::sec(5);
@@ -53,11 +58,6 @@ public:
         /// not-yet-idle chunks, least-recently-appended first, until the
         /// projected footprint is back under the cap (size policy).
         uint64_t primaryCapacityBytes = UINT64_MAX;
-        /// Floor on victim idleness under size pressure: a chunk appended
-        /// within this window is never migrated, so an actively-written
-        /// tail chunk cannot race its own appends (migrate() additionally
-        /// aborts if an append lands mid-flight).
-        sim::Duration pressureMinIdle = sim::msec(100);
         /// Cadence of the migration scan. <= 0 disables the automatic scan
         /// (tests drive `scanNow()` directly).
         sim::Duration scanInterval = sim::sec(1);

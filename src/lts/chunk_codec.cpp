@@ -134,11 +134,10 @@ Result<Bytes> ChunkCodec::decodeBlock(BytesView stored) {
 
 // -------------------------------------------------------- CodecChunkStorage
 
-CodecChunkStorage::CodecChunkStorage(sim::Core& exec, ChunkStorage& inner, Config cfg)
+CodecChunkStorage::CodecChunkStorage(sim::Core& exec, ChunkStorage& inner)
     : exec_(exec),
       inner_(inner),
-      cfg_(cfg),
-      cpu_(exec, sim::CpuModel::Config{cfg.cpuLanes, sim::usec(2), cfg.compressBytesPerSec}),
+      cpu_(exec, sim::CpuModel::Config{kCpuLanes, sim::usec(2), kCompressBytesPerSec}),
       mRawBytes_(exec.metrics().counter("lts.codec.raw_bytes")),
       mStoredBytes_(exec.metrics().counter("lts.codec.stored_bytes")),
       mBlocks_(exec.metrics().counter("lts.codec.blocks")),
@@ -166,7 +165,7 @@ Future<Unit> CodecChunkStorage::append(const std::string& name, BufChain data) {
 
     sim::Promise<Unit> p;
     auto fut = p.future();
-    sim::Duration compressTime = sim::transferTime(rawLen, cfg_.compressBytesPerSec);
+    sim::Duration compressTime = sim::transferTime(rawLen, kCompressBytesPerSec);
     cpu_.executeFor(compressTime)
         .onComplete([this, name, rawLen, storedLen, block = std::move(block),
                      p](const Result<Unit>&) mutable {
@@ -259,7 +258,7 @@ Future<SharedBuf> CodecChunkStorage::read(const std::string& name, uint64_t offs
             // Decompression charges CPU for every decoded block byte — the
             // read amplification cost of block-granular compression.
             SharedBuf result{std::move(out)};
-            cpu_.executeFor(sim::transferTime(decodedRaw, cfg_.decompressBytesPerSec))
+            cpu_.executeFor(sim::transferTime(decodedRaw, kDecompressBytesPerSec))
                 .onComplete([p, result](const Result<Unit>&) mutable { p.setValue(result); });
         });
     return fut;

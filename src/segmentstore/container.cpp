@@ -11,6 +11,20 @@ namespace pravega::segmentstore {
 namespace {
 constexpr const char* kLog = "container";
 
+/// Frame size cap in the delay formula (paper §4.1: e.g. 1 MB frames).
+constexpr uint64_t kMaxFrameBytes = 1024 * 1024;
+/// Cache policy cadence (read-index eviction).
+constexpr sim::Duration kCachePolicyInterval = sim::msec(250);
+/// Cap on in-flight prefetch bytes per container.
+constexpr uint64_t kPrefetchBudgetBytes = 32 * 1024 * 1024;
+/// Prefetch stops above this cache utilization so readahead can never push
+/// the cache into evicting the live tail (§4.2 policy evicts only below the
+/// storage watermark; this margin keeps prefetch from forcing those
+/// evictions either).
+constexpr double kPrefetchMaxCacheUtilization = 0.75;
+/// Fan-out bound for one demand miss spanning chunk boundaries.
+constexpr int kMaxParallelChunkFetches = 8;
+
 SegmentId systemTableIdFor(uint32_t containerId) {
     return makeSegmentId(0xFFFFFFFFu, containerId);
 }
@@ -142,7 +156,7 @@ void SegmentContainer::startCachePolicyTimer() {
     // The liveness token must be checked before the epoch: the timer (owned
     // by the machine) can fire after this container was destroyed, and even
     // the epoch comparison would then read freed memory.
-    exec_.scheduleWeak(cfg_.cachePolicyInterval, [this, epoch, alive = alive_]() {
+    exec_.scheduleWeak(kCachePolicyInterval, [this, epoch, alive = alive_]() {
         if (!*alive) return;
         if (epoch != cacheTimerEpoch_ || offline_) return;
         readIndex_.applyCachePolicy();
@@ -426,7 +440,7 @@ void SegmentContainer::enqueueOp(Operation op, std::function<void(Result<int64_t
     mQueueDepth_.set(static_cast<double>(openFrame_.ops.size()) +
                      static_cast<double>(inFlightFrames_));
 
-    if (openFrame_.bytes >= cfg_.maxFrameBytes) {
+    if (openFrame_.bytes >= kMaxFrameBytes) {
         closeFrame();
     } else {
         scheduleFrameTimer();
@@ -435,7 +449,7 @@ void SegmentContainer::enqueueOp(Operation op, std::function<void(Result<int64_t
 
 sim::Duration SegmentContainer::currentBatchDelay() const {
     // Delay = RecentLatency * (1 - AvgWriteSize / MaxFrameSize), bounded.
-    double fill = avgWriteSizeBytes_ / static_cast<double>(cfg_.maxFrameBytes);
+    double fill = avgWriteSizeBytes_ / static_cast<double>(kMaxFrameBytes);
     fill = std::clamp(fill, 0.0, 1.0);
     auto d = static_cast<sim::Duration>(recentWalLatencyNs_ * (1.0 - fill));
     return std::clamp<sim::Duration>(d, 0, cfg_.maxBatchDelay);
@@ -811,11 +825,9 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
         res.endOfSegment =
             meta->props.sealed &&
             offset + static_cast<int64_t>(res.data.size()) >= meta->appliedLength;
-        if (cfg_.readPipeline.enabled) {
-            int64_t readEnd = offset + static_cast<int64_t>(res.data.size());
-            consumePrefetched(id, offset, readEnd);
-            noteSequentialHit(id, offset, readEnd, *meta);
-        }
+        int64_t readEnd = offset + static_cast<int64_t>(res.data.size());
+        consumePrefetched(id, offset, readEnd);
+        noteSequentialHit(id, offset, readEnd, *meta);
         promise.setValue(std::move(res));
         return;
     }
@@ -857,11 +869,6 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
         promise.setError(Err::IoError, "read did not converge");
         return;
     }
-    if (!cfg_.readPipeline.enabled) {
-        legacyFetch(id, miss, PendingRead{offset, maxBytes, std::move(promise), depth, counted});
-        return;
-    }
-
     // A demand miss over a range we prefetched means the prefetch was
     // evicted before use — charge it as waste.
     chargeWastedPrefetch(id, miss.offset, miss.offset + miss.length);
@@ -896,36 +903,8 @@ void SegmentContainer::attemptRead(SegmentId id, int64_t offset, int64_t maxByte
     }
 }
 
-void SegmentContainer::legacyFetch(SegmentId id, const ReadMiss& miss, PendingRead waiter) {
-    auto chunk = storageWriter_->findChunk(id, miss.offset);
-    if (!chunk) {
-        waiter.promise.setError(chunk.status());
-        return;
-    }
-    int64_t within = miss.offset - chunk.value().startOffset;
-    int64_t len = std::min(miss.length, chunk.value().length - within);
-    if (len <= 0) {
-        waiter.promise.setError(Err::IoError, "chunk metadata inconsistent with read index");
-        return;
-    }
-    mLtsFetches_.inc();
-    sim::TimePoint startedAt = exec_.now();
-    lts_.read(chunk.value().name, static_cast<uint64_t>(within), static_cast<uint64_t>(len))
-        .onComplete([this, id, missOffset = miss.offset, w = std::move(waiter),
-                     startedAt](const Result<SharedBuf>& r) mutable {
-            mDemandFetchNs_.record(exec_.now() - startedAt);
-            if (!r.isOk()) {
-                w.promise.setError(r.status());
-                return;
-            }
-            readIndex_.insertFromStorage(id, missOffset, r.value().view());
-            attemptRead(id, w.offset, w.maxBytes, std::move(w.promise), w.depth + 1, w.counted);
-        });
-}
-
 int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, bool prefetch,
                                      PendingRead* demand) {
-    const auto& rp = cfg_.readPipeline;
     auto chunks = storageWriter_->findChunks(id, start, end - start);
     // Build contiguous per-chunk pieces covering [start, ...), bounded by
     // the parallel-fetch fan-out cap. A gap (or a range past the flushed
@@ -946,7 +925,7 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
                                static_cast<uint64_t>(pieceEnd - cursor)});
         cursor = pieceEnd;
         if (cursor >= end) break;
-        if (static_cast<int>(pieces.size()) >= rp.maxParallelChunkFetches) break;
+        if (static_cast<int>(pieces.size()) >= kMaxParallelChunkFetches) break;
     }
     if (pieces.empty()) {
         if (demand) {
@@ -981,7 +960,7 @@ int64_t SegmentContainer::startFetch(SegmentId id, int64_t start, int64_t end, b
                 if (epoch != fetchEpoch_ || offline_) return;
                 Status st;
                 if (r.isOk()) {
-                    readIndex_.insertFromStorage(id, insertAt, r.value().view());
+                    readIndex_.insertFromStorage(id, insertAt, r.value());
                 } else {
                     st = r.status();
                 }
@@ -1046,7 +1025,7 @@ void SegmentContainer::finishFetchPiece(SegmentId id, int64_t start, Status st) 
 
 void SegmentContainer::maybePrefetch(SegmentId id, int64_t from, const SegmentMeta& meta) {
     const auto& rp = cfg_.readPipeline;
-    if (!rp.enabled || !rp.readahead || offline_) return;
+    if (!rp.readahead || offline_) return;
     // Only flushed data has chunks to prefetch from; the unflushed tail is
     // already in cache (and the eviction policy protects it — prefetch must
     // not change that, hence the utilization margin below).
@@ -1058,8 +1037,8 @@ void SegmentContainer::maybePrefetch(SegmentId id, int64_t from, const SegmentMe
     while (cursor < horizon) {
         cursor = readIndex_.contiguousEnd(id, cursor, horizon);  // skip cached runs
         if (cursor >= horizon) break;
-        if (cache_.utilization() >= rp.prefetchMaxCacheUtilization) break;
-        if (prefetchInflightBytes_ >= rp.prefetchBudgetBytes) break;
+        if (cache_.utilization() >= kPrefetchMaxCacheUtilization) break;
+        if (prefetchInflightBytes_ >= kPrefetchBudgetBytes) break;
         int64_t end = std::min(horizon, cursor + static_cast<int64_t>(rp.prefetchFetchBytes));
         // Skip past (or clip against) fetches already in flight.
         bool covered = false;

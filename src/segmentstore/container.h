@@ -37,7 +37,6 @@
 namespace pravega::segmentstore {
 
 struct ContainerConfig {
-    uint64_t maxFrameBytes = 1024 * 1024;       // paper §4.1: e.g. 1 MB frames
     sim::Duration maxBatchDelay = sim::msec(20);  // bound on the delay formula
     uint64_t checkpointEveryOps = 4000;
     uint64_t checkpointEveryBytes = 32 * 1024 * 1024;
@@ -54,16 +53,10 @@ struct ContainerConfig {
     uint64_t throttleFullSegmentBytes = 256ULL * 1024 * 1024;
     sim::Duration maxThrottleDelay = sim::msec(500);
 
-    /// Cache policy cadence (read-index eviction).
-    sim::Duration cachePolicyInterval = sim::msec(250);
-
     /// Storage read pipeline (§4.2, §5.7): coalesced LTS fetches, parallel
     /// multi-chunk demand fetches, and budget-bounded segment readahead for
     /// catch-up readers.
     struct ReadPipelineConfig {
-        /// Master switch: false restores the legacy serial fetch-retry path
-        /// (no coalescing, no parallel multi-chunk fetch, no readahead).
-        bool enabled = true;
         /// Readahead ablation flag (Fig 12): prefetch the next windows into
         /// the block cache on a miss or a sequential-hit streak.
         bool readahead = true;
@@ -71,15 +64,6 @@ struct ContainerConfig {
         int prefetchWindows = 4;
         /// Size of each prefetch fetch window.
         uint64_t prefetchFetchBytes = 4 * 1024 * 1024;
-        /// Cap on in-flight prefetch bytes per container.
-        uint64_t prefetchBudgetBytes = 32 * 1024 * 1024;
-        /// Prefetch stops above this cache utilization so readahead can
-        /// never push the cache into evicting the live tail (§4.2 policy
-        /// evicts only below the storage watermark; this margin keeps
-        /// prefetch from forcing those evictions either).
-        double prefetchMaxCacheUtilization = 0.75;
-        /// Fan-out bound for one demand miss spanning chunk boundaries.
-        int maxParallelChunkFetches = 8;
         /// Sequential depth-0 hits in a row that trigger readahead.
         int sequentialStreak = 2;
     };
@@ -249,9 +233,8 @@ private:
     void failAllPending(Status error);
     void attemptRead(SegmentId id, int64_t offset, int64_t maxBytes,
                      sim::Promise<ReadResult> promise, int depth, bool counted);
-    void legacyFetch(SegmentId id, const ReadMiss& miss, PendingRead waiter);
     /// Starts an LTS fetch for [start, end) (parallel per-chunk pieces,
-    /// capped at maxParallelChunkFetches). `demand` (when non-null) becomes
+    /// capped at kMaxParallelChunkFetches). `demand` (when non-null) becomes
     /// the fetch's first waiter; on setup failure its promise is failed.
     /// Returns the end of the range actually being fetched (`start` when no
     /// fetch could be started, e.g. no chunks cover the range yet).

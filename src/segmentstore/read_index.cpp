@@ -32,7 +32,7 @@ void ReadIndex::removeSegment(SegmentId segment) {
     segments_.erase(it);
 }
 
-Status ReadIndex::append(SegmentId segment, int64_t offset, BytesView data) {
+Status ReadIndex::append(SegmentId segment, int64_t offset, const BufChain& data) {
     auto it = segments_.find(segment);
     if (it == segments_.end()) return Status(Err::NotFound, "segment not in read index");
     SegmentIndex& idx = it->second;
@@ -54,60 +54,6 @@ Status ReadIndex::append(SegmentId segment, int64_t offset, BytesView data) {
         if (newAddr.code() != Err::CacheFull) return newAddr.status();
         // Cache full mid-append: the entry was partially extended; bring the
         // index in sync with whatever the cache now holds, evict, retry once.
-        auto len = cache_.entryLength(last.second->address);
-        if (len) {
-            indexedBytes_ += len.value() - static_cast<uint64_t>(last.second->length);
-            last.second->length = static_cast<int64_t>(len.value());
-        }
-        applyCachePolicy();
-        int64_t done = *last.first + last.second->length - offset;
-        if (done >= static_cast<int64_t>(data.size())) return Status::ok();
-        return insertEntry(idx, offset + done, data.subspan(static_cast<size_t>(done)));
-    }
-    return insertEntry(idx, offset, data);
-}
-
-Status ReadIndex::insertEntry(SegmentIndex& idx, int64_t offset, BytesView data) {
-    // Split oversized payloads into maxEntryLength pieces.
-    while (!data.empty()) {
-        size_t n = std::min<size_t>(data.size(), static_cast<size_t>(cfg_.maxEntryLength));
-        auto addr = cache_.insert(data.first(n));
-        if (!addr && addr.code() == Err::CacheFull) {
-            applyCachePolicy();
-            addr = cache_.insert(data.first(n));
-        }
-        if (!addr) return addr.status();
-        Entry e;
-        e.length = static_cast<int64_t>(n);
-        e.address = addr.value();
-        e.lastUsedGeneration = generation_;
-        idx.entries.insert(offset, e);
-        indexedBytes_ += n;
-        offset += static_cast<int64_t>(n);
-        data = data.subspan(n);
-    }
-    return Status::ok();
-}
-
-Status ReadIndex::append(SegmentId segment, int64_t offset, const BufChain& data) {
-    auto it = segments_.find(segment);
-    if (it == segments_.end()) return Status(Err::NotFound, "segment not in read index");
-    SegmentIndex& idx = it->second;
-
-    // Same O(1) fast path as the view overload, fed fragment by fragment.
-    auto last = idx.entries.lastEntry();
-    if (last.first && *last.first + last.second->length == offset &&
-        last.second->address != kInvalidAddress &&
-        last.second->length + static_cast<int64_t>(data.size()) <= cfg_.maxEntryLength) {
-        auto newAddr = cache_.append(last.second->address, data);
-        if (newAddr) {
-            last.second->address = newAddr.value();
-            last.second->length += static_cast<int64_t>(data.size());
-            last.second->lastUsedGeneration = generation_;
-            indexedBytes_ += data.size();
-            return Status::ok();
-        }
-        if (newAddr.code() != Err::CacheFull) return newAddr.status();
         auto len = cache_.entryLength(last.second->address);
         if (len) {
             indexedBytes_ += len.value() - static_cast<uint64_t>(last.second->length);
@@ -148,7 +94,7 @@ Status ReadIndex::insertEntry(SegmentIndex& idx, int64_t offset, BufChain data) 
     return Status::ok();
 }
 
-Status ReadIndex::insertFromStorage(SegmentId segment, int64_t offset, BytesView data) {
+Status ReadIndex::insertFromStorage(SegmentId segment, int64_t offset, BufChain data) {
     auto it = segments_.find(segment);
     if (it == segments_.end()) return Status(Err::NotFound, "segment not in read index");
     SegmentIndex& idx = it->second;
@@ -164,17 +110,17 @@ Status ReadIndex::insertFromStorage(SegmentId segment, int64_t offset, BytesView
             int64_t skip = *floor.first + floor.second->length - offset;
             if (skip >= static_cast<int64_t>(data.size())) break;
             offset += skip;
-            data = data.subspan(static_cast<size_t>(skip));
+            data.trimFront(static_cast<size_t>(skip));
             continue;
         }
         auto ceiling = idx.entries.ceilingEntry(offset);
         int64_t limit = ceiling.first ? *ceiling.first : offset + static_cast<int64_t>(data.size());
         int64_t usable = std::min<int64_t>(static_cast<int64_t>(data.size()), limit - offset);
         if (usable > 0) {
-            Status s = insertEntry(idx, offset, data.first(static_cast<size_t>(usable)));
+            Status s = insertEntry(idx, offset, data.share(0, static_cast<size_t>(usable)));
             if (!s) return s;
             offset += usable;
-            data = data.subspan(static_cast<size_t>(usable));
+            data.trimFront(static_cast<size_t>(usable));
         }
         // usable == 0 means a ceiling entry starts exactly at `offset`; the
         // next iteration's floor check skips over it.

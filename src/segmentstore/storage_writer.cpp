@@ -12,6 +12,8 @@ namespace pravega::segmentstore {
 
 namespace {
 constexpr const char* kLog = "storage-writer";
+/// Max segment flushes in flight at once (parallel LTS streams).
+constexpr int kMaxConcurrentFlushes = 16;
 }
 
 Bytes ChunkRecord::serialize() const {
@@ -167,7 +169,7 @@ void StorageWriter::removeChunk(const std::string& name, bool isRetry) {
 void StorageWriter::scan() {
     for (auto& [segment, state] : segments_) {
         if (state.flushing || state.deleted || state.pending.empty()) continue;
-        if (activeFlushes_ >= cfg_.maxConcurrentFlushes) break;
+        if (activeFlushes_ >= kMaxConcurrentFlushes) break;
         bool sizeReady = state.pendingBytes >= cfg_.flushSizeBytes;
         bool ageReady = exec_.now() - state.oldestPending >= cfg_.flushTimeout;
         if (sizeReady || ageReady) flushSegment(segment, state);
@@ -312,7 +314,7 @@ void StorageWriter::flushSegment(SegmentId segment, SegmentState& state) {
                     auto it = segments_.find(segment);
                     if (it != segments_.end() && !it->second.flushing &&
                         !it->second.deleted && running_ &&
-                        activeFlushes_ < cfg_.maxConcurrentFlushes) {
+                        activeFlushes_ < kMaxConcurrentFlushes) {
                         flushSegment(segment, it->second);
                     }
                 });
@@ -369,7 +371,7 @@ uint64_t StorageWriter::compactions() const { return mCompactions_.value(); }
 void StorageWriter::compactScan() {
     for (auto& [segment, state] : segments_) {
         if (state.flushing || state.deleted) continue;
-        if (activeFlushes_ >= cfg_.maxConcurrentFlushes) break;
+        if (activeFlushes_ >= kMaxConcurrentFlushes) break;
         compactSegment(segment, state);
     }
 }
@@ -536,22 +538,6 @@ Result<int64_t> StorageWriter::reconcileSegment(SegmentId segment) {
         container_.tableUpdate(container_.systemTableSegment(), std::move(fix));
     }
     return last.startOffset + last.length;
-}
-
-Result<ChunkRecord> StorageWriter::findChunk(SegmentId segment, int64_t offset) const {
-    auto chunks = container_.tableScan(container_.systemTableSegment(),
-                                       chunkKey(segment, 0).substr(0, 24));
-    // Records are ordered by chunk index == offset order; linear scan from
-    // the back finds the covering chunk (reads cluster near recent data).
-    for (auto it = chunks.rbegin(); it != chunks.rend(); ++it) {
-        auto rec = ChunkRecord::deserialize(it->second.value);
-        if (!rec) continue;
-        if (rec.value().startOffset <= offset &&
-            offset < rec.value().startOffset + rec.value().length) {
-            return rec.value();
-        }
-    }
-    return Status(Err::NotFound, "no chunk covers offset");
 }
 
 std::vector<ChunkRecord> StorageWriter::findChunks(SegmentId segment, int64_t offset,

@@ -34,8 +34,6 @@ struct StorageWriterConfig {
     uint64_t maxChunkBytes = 16 * 1024 * 1024;
     /// How often the writer scans for flush-ready segments.
     sim::Duration scanInterval = sim::msec(50);
-    /// Max segment flushes in flight at once (parallel LTS streams).
-    int maxConcurrentFlushes = 16;
     /// Chunk compaction: merge a run of >= 2 adjacent flushed chunks each
     /// smaller than this into one chunk (timeout-driven flushes of a slow
     /// segment otherwise litter LTS with tiny objects). 0 disables
@@ -75,9 +73,6 @@ public:
     /// flush completed whose metadata update was lost — adopt the actual
     /// chunk length (the bytes are identical, appends replay verbatim).
     Result<int64_t> reconcileSegment(SegmentId segment);
-
-    /// Locates the chunk covering `offset` for LTS reads.
-    Result<ChunkRecord> findChunk(SegmentId segment, int64_t offset) const;
 
     /// All chunks overlapping [offset, offset+length), in offset order.
     /// Lets the read pipeline fetch a multi-chunk range in parallel instead

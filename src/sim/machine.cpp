@@ -30,46 +30,28 @@ void Core::push(Duration delay, Task fn, bool weak) {
     Tier tier;
     size_t slot = 0;
     size_t idx = 0;
-    if (delay == 0) {
-        // Zero-delay post: `at == now`, and now is monotone, so the deque
-        // is already (time, seq)-ordered.
-        tier = Tier::Due;
-        idx = dueNow_.size();
-        dueNow_.push_back(Entry{at, seq, weak, std::move(fn)});
+    const uint64_t absSlot = static_cast<uint64_t>(at) >> kWheelShift;
+    const uint64_t nowSlot = static_cast<uint64_t>(machine_->now()) >> kWheelShift;
+    if (absSlot - nowSlot < kWheelSlots) {
+        tier = Tier::Wheel;
+        slot = static_cast<size_t>(absSlot & (kWheelSlots - 1));
+        idx = slots_[slot].size();
+        slots_[slot].push_back(Entry{at, seq, weak, std::move(fn)});
+        ++wheelCount_;
+        if (absSlot < wheelCursor_) wheelCursor_ = absSlot;
     } else {
-        const uint64_t absSlot = static_cast<uint64_t>(at) >> kWheelShift;
-        const uint64_t nowSlot = static_cast<uint64_t>(machine_->now()) >> kWheelShift;
-        if (absSlot - nowSlot < kWheelSlots) {
-            tier = Tier::Wheel;
-            slot = static_cast<size_t>(absSlot & (kWheelSlots - 1));
-            idx = slots_[slot].size();
-            slots_[slot].push_back(Entry{at, seq, weak, std::move(fn)});
-            ++wheelCount_;
-            if (absSlot < wheelCursor_) wheelCursor_ = absSlot;
-        } else {
-            tier = Tier::Far;
-            far_.push(Entry{at, seq, weak, std::move(fn)});
-        }
+        tier = Tier::Far;
+        far_.push(Entry{at, seq, weak, std::move(fn)});
     }
 
     // Incremental cached-min maintenance: a push can only improve the min.
-    if (minTier_ == Tier::None || at < minAt_ || (at == minAt_ && seq < minSeq_)) {
-        minTier_ = tier;
-        minAt_ = at;
-        minSeq_ = seq;
-        minSlot_ = slot;
-        minIdx_ = idx;
-    }
+    consider(at, seq, tier, slot, idx);
 }
 
 Core::Entry Core::pop() {
     assert(minTier_ != Tier::None && "pop on empty core queue");
     Entry e;
     switch (minTier_) {
-        case Tier::Due:
-            e = std::move(dueNow_.front());
-            dueNow_.pop_front();
-            break;
         case Tier::Wheel: {
             auto& v = slots_[minSlot_];
             e = std::move(v[minIdx_]);
@@ -110,10 +92,6 @@ void Core::consider(TimePoint at, uint64_t seq, Tier tier, size_t slot, size_t i
 
 void Core::recomputeMin() {
     minTier_ = Tier::None;
-    if (!dueNow_.empty()) {
-        const Entry& e = dueNow_.front();
-        consider(e.at, e.seq, Tier::Due, 0, 0);
-    }
     if (wheelCount_ > 0) {
         // All pending wheel entries lie within one horizon window above the
         // current virtual time (at >= now, and admission requires
@@ -167,7 +145,7 @@ void Machine::submitTo(int core, Core::Task task) {
     // Hand-off latency models the mailbox: queue transfer + remote wake-up.
     // Harness submits (runningCore_ == -1) are world setup, not modeled
     // shard-to-shard traffic, and pay nothing.
-    Duration cost = runningCore_ >= 0 ? cfg_.handoffLatency : 0;
+    Duration cost = runningCore_ >= 0 ? kHandoffLatency : 0;
     if (runningCore_ >= 0) {
         cores_[static_cast<size_t>(runningCore_)]
             ->metrics()

@@ -28,19 +28,20 @@
 // Shard affinity: components hold the Core& they are pinned to and schedule
 // ONLY through that handle. Work that must run on another shard goes
 // through `Machine::submitTo(core, task)` — the cross-core mailbox — which
-// charges the configured hand-off latency. A submit to the shard that is
+// charges kHandoffLatency. A submit to the shard that is
 // currently executing is a direct call (no queueing, no cost), mirroring
 // what sharded runtimes do for same-shard submits.
 //
-// Event-queue fast path: each core keeps its pending events in three tiers
+// Event-queue fast path: each core keeps its pending events in two tiers
 // instead of one binary heap —
-//   1. a due-now FIFO for zero-delay posts (at == now when pushed, so the
-//      deque is already in (time, seq) order: O(1) push and pop, no heap
-//      sifting of std::function payloads),
-//   2. a timer wheel for the near future (slot width 2^kWheelShift ns,
+//   1. a timer wheel for the near future (slot width 2^kWheelShift ns,
 //      kWheelSlots slots ≈ 16.8 ms horizon): O(1) push into an unsorted
-//      slot, pops scan only the cursor slot,
-//   3. a far heap for everything beyond the wheel horizon (rare:
+//      slot, pops scan only the cursor slot. Zero-delay posts land in the
+//      current slot like any other near event — they are rare (in a
+//      counting build at seed 1 they were 475 of 15.8M pushes on the
+//      ingest-tail benchmark, 174 of 1.07M on catchup-read and 0 of 3.35M
+//      on fleet-skew), so they get no tier of their own,
+//   2. a far heap for everything beyond the wheel horizon (rare:
 //      long-fuse timeouts, background rearm timers).
 // Each core maintains a cached (time, seq) key of its earliest pending
 // event, updated incrementally on push/pop, so the machine's dispatch loop
@@ -50,7 +51,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -67,13 +67,14 @@ namespace pravega::sim {
 
 class Machine;
 
+/// Cross-core mailbox hand-off latency: queue transfer + remote-shard
+/// wake-up (the cost that makes "keep it on one shard" designs win until a
+/// core saturates).
+constexpr Duration kHandoffLatency = 700;
+
 struct MachineConfig {
     /// Number of Core shards.
     int cores = 1;
-    /// Cross-core mailbox hand-off latency: queue transfer + remote-shard
-    /// wake-up (the cost that makes "keep it on one shard" designs win
-    /// until a core saturates).
-    Duration handoffLatency = Duration(700);
     /// Base seed for the per-core RNG streams (stream c is derived as
     /// mix64(rngSeed ^ (c+1)), so streams are decorrelated but replayable).
     uint64_t rngSeed = 0xC0DE5EEDF00DULL;
@@ -118,7 +119,7 @@ public:
     /// This shard's deterministic RNG stream.
     Rng& rng() { return rng_; }
 
-    size_t pendingTasks() const { return dueNow_.size() + wheelCount_ + far_.size(); }
+    size_t pendingTasks() const { return wheelCount_ + far_.size(); }
     size_t pendingRegularTasks() const { return regularPending_; }
 
 private:
@@ -142,16 +143,16 @@ private:
             return a.seq > b.seq;
         }
     };
-    enum class Tier : uint8_t { None, Due, Wheel, Far };
+    enum class Tier : uint8_t { None, Wheel, Far };
 
     Core(Machine& machine, int id, uint64_t rngSeed);
     void push(Duration delay, Task fn, bool weak);
     /// Pops the earliest entry (queue must be non-empty) and refreshes the
     /// cached minimum.
     Entry pop();
-    /// Recomputes the cached (time, seq) minimum across the three tiers.
+    /// Recomputes the cached (time, seq) minimum across the two tiers.
     void recomputeMin();
-    /// Offers a candidate to the cached minimum during recomputation.
+    /// Offers a candidate to the cached minimum (on push and recomputation).
     void consider(TimePoint at, uint64_t seq, Tier tier, size_t slot, size_t idx);
 
     bool hasPending() const { return minTier_ != Tier::None; }
@@ -162,9 +163,7 @@ private:
     uint64_t seq_ = 0;
     size_t regularPending_ = 0;
 
-    // Tier 1: zero-delay posts, already in (time, seq) order.
-    std::deque<Entry> dueNow_;
-    // Tier 2: near-future timer wheel. Slots hold unsorted entries; the
+    // Tier 1: near-future timer wheel. Slots hold unsorted entries; the
     // cursor (an ABSOLUTE slot index, at >> kWheelShift) only moves forward
     // except when a push lands behind it. All pending wheel entries fit in
     // one horizon window relative to the current virtual time, so a
@@ -172,7 +171,7 @@ private:
     std::vector<std::vector<Entry>> slots_;
     size_t wheelCount_ = 0;
     uint64_t wheelCursor_ = 0;  // absolute slot index of the scan position
-    // Tier 3: beyond the wheel horizon.
+    // Tier 2: beyond the wheel horizon.
     std::priority_queue<Entry, std::vector<Entry>, Later> far_;
 
     // Cached earliest pending event (valid when minTier_ != None). minSlot_/
@@ -219,9 +218,9 @@ public:
 
     /// Cross-core mailbox: runs `task` on shard `core`. When `core` is the
     /// shard currently executing this IS a direct call (runs inline);
-    /// otherwise the task is enqueued on the target shard after the
-    /// configured hand-off latency (charged only when the submit originates
-    /// from another shard — harness submits pay no hand-off).
+    /// otherwise the task is enqueued on the target shard after
+    /// kHandoffLatency (charged only when the submit originates from
+    /// another shard — harness submits pay no hand-off).
     void submitTo(int core, Core::Task task);
 
     /// Cross-core messages sent so far (mailbox traffic, direct same-shard

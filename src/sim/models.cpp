@@ -156,21 +156,17 @@ Future<Unit> ObjectStoreModel::transfer(uint64_t bytes) {
     return lanes_.acquire(laneWork);
 }
 
-TapeLibraryModel::TapeLibraryModel(Core& exec, Config cfg)
+TapeLibraryModel::TapeLibraryModel(Core& exec)
     : exec_(exec),
-      cfg_(cfg),
+      drives_(kDrives),
       mOps_(exec.metrics().counter("sim.tape.ops")),
       mMounts_(exec.metrics().counter("sim.tape.mounts")),
       mBytes_(exec.metrics().counter("sim.tape.bytes")),
       mAccessNs_(exec.metrics().histogram("sim.tape.access_ns")),
-      mFirstByteNs_(exec.metrics().histogram("sim.tape.first_byte_ns")) {
-    assert(cfg_.drives > 0);
-    drives_.assign(static_cast<size_t>(cfg_.drives), Drive{});
-}
+      mFirstByteNs_(exec.metrics().histogram("sim.tape.first_byte_ns")) {}
 
 Future<Unit> TapeLibraryModel::access(uint64_t cartridge, uint64_t bytes) {
-    int64_t cart = static_cast<int64_t>(cartridge % static_cast<uint64_t>(
-                                                        std::max(1, cfg_.cartridges)));
+    int64_t cart = static_cast<int64_t>(cartridge % kCartridges);
     // Prefer the drive that already has this cartridge mounted; otherwise
     // the earliest-free drive (deterministic: lowest index wins ties).
     size_t best = 0;
@@ -185,14 +181,14 @@ Future<Unit> TapeLibraryModel::access(uint64_t cartridge, uint64_t bytes) {
     }
     Drive& d = drives_[best];
     TimePoint start = std::max(d.freeAt, exec_.now());
-    Duration firstByte = cfg_.seekLatency;
+    Duration firstByte = kSeekLatency;
     if (!affinity) {
-        firstByte += cfg_.mountLatency;
+        firstByte += kMountLatency;
         d.mounted = cart;
         ++mounts_;
         mMounts_.inc();
     }
-    TimePoint done = start + firstByte + transferTime(bytes, cfg_.bytesPerSec);
+    TimePoint done = start + firstByte + transferTime(bytes, kBytesPerSec);
     d.freeAt = done;
     bytesTransferred_ += bytes;
     mOps_.inc();

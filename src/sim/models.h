@@ -235,17 +235,15 @@ private:
 /// back-to-back reads of the same cartridge pay one mount.
 class TapeLibraryModel {
 public:
-    struct Config {
-        int drives = 2;
-        int cartridges = 16;
-        /// Robot exchange + load + thread time on a cartridge switch.
-        Duration mountLatency = msec(400);
-        /// Position seek charged on every access (tape wind).
-        Duration seekLatency = msec(60);
-        double bytesPerSec = 120.0 * 1024 * 1024;  // LTO-class streaming rate
-    };
+    static constexpr int kDrives = 2;
+    static constexpr int kCartridges = 16;
+    /// Robot exchange + load + thread time on a cartridge switch.
+    static constexpr Duration kMountLatency = msec(400);
+    /// Position seek charged on every access (tape wind).
+    static constexpr Duration kSeekLatency = msec(60);
+    static constexpr double kBytesPerSec = 120.0 * 1024 * 1024;  // LTO-class streaming rate
 
-    TapeLibraryModel(Core& exec, Config cfg);
+    explicit TapeLibraryModel(Core& exec);
 
     /// Charges one access of `bytes` against cartridge `cartridge`
     /// (hashed into the library's cartridge set). Completes when the
@@ -254,7 +252,6 @@ public:
 
     uint64_t mounts() const { return mounts_; }
     uint64_t bytesTransferred() const { return bytesTransferred_; }
-    const Config& config() const { return cfg_; }
 
 private:
     struct Drive {
@@ -263,7 +260,6 @@ private:
     };
 
     Core& exec_;
-    Config cfg_;
     std::vector<Drive> drives_;
     uint64_t mounts_ = 0;
     uint64_t bytesTransferred_ = 0;

@@ -24,6 +24,11 @@ namespace pravega::sim {
 /// stores, bookies, brokers each get one).
 using HostId = int;
 
+/// Per-request wire overhead (protocol framing) charged on every simulated
+/// request and response, by the Pravega client and WAL and by the Kafka and
+/// Pulsar baselines alike.
+constexpr uint64_t kWireOverheadBytes = 64;
+
 class Network {
 public:
     Network(Core& exec, Link::Config cfg, uint64_t faultSeed = 0x5EED0FFAULL)

@@ -46,7 +46,7 @@ sim::Future<sim::Unit> Bookie::addEntry(LedgerId ledger, EntryId entry, BufChain
     add.ledger = ledger;
     add.entry = entry;
     add.data = std::move(data);
-    add.journalBytes = add.data.size() + cfg_.entryOverheadBytes;
+    add.journalBytes = add.data.size() + kEntryOverheadBytes;
     auto fut = add.done.future();
     pending_.push_back(std::move(add));
     maybeStartFlush();
@@ -61,7 +61,7 @@ void Bookie::maybeStartFlush() {
     // journal write; requests arriving during the write join the next group.
     std::vector<JournalRecord> records;
     uint64_t bytes = 0;
-    while (!pending_.empty() && (inFlightAcks_.empty() || bytes < cfg_.maxGroupBytes)) {
+    while (!pending_.empty() && (inFlightAcks_.empty() || bytes < kMaxGroupBytes)) {
         bytes += pending_.front().journalBytes;
         inFlightAcks_.push_back(std::move(pending_.front().done));
         records.push_back(JournalRecord{pending_.front().ledger, pending_.front().entry,
@@ -72,7 +72,7 @@ void Bookie::maybeStartFlush() {
     // rides the same serialized device (entries × latency × bandwidth).
     uint64_t entryCost = static_cast<uint64_t>(
         static_cast<double>(inFlightAcks_.size()) *
-        static_cast<double>(cfg_.perEntryLatency) / 1e9 * journal_.config().bytesPerSec);
+        static_cast<double>(kPerEntryLatency) / 1e9 * journal_.config().bytesPerSec);
 
     mFlushes_.inc();
     mGroupBytes_.record(static_cast<sim::Duration>(bytes));

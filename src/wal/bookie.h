@@ -34,19 +34,20 @@ namespace pravega::wal {
 
 class Bookie {
 public:
+    /// Per-entry journal record overhead (headers, checksums).
+    static constexpr uint64_t kEntryOverheadBytes = 32;
+    /// Upper bound on one journal group-commit write.
+    static constexpr uint64_t kMaxGroupBytes = 4 * 1024 * 1024;
+    /// Per-entry journal processing (header, checksum, index update). Thin
+    /// per-partition entries (Pulsar-style) pay this at high rates;
+    /// multiplexed 1MB frames (Pravega containers) amortize it — the
+    /// paper's §6(ii) multiplexing argument.
+    static constexpr sim::Duration kPerEntryLatency = sim::usec(4);
+
     struct Config {
         /// Journal fsync before ack (default on; Fig 5's Pravega "no flush"
         /// ablation turns this off).
         bool journalSync = true;
-        /// Per-entry journal record overhead (headers, checksums).
-        uint64_t entryOverheadBytes = 32;
-        /// Upper bound on one journal group-commit write.
-        uint64_t maxGroupBytes = 4 * 1024 * 1024;
-        /// Per-entry journal processing (header, checksum, index update).
-        /// Thin per-partition entries (Pulsar-style) pay this at high rates;
-        /// multiplexed 1MB frames (Pravega containers) amortize it — the
-        /// paper's §6(ii) multiplexing argument.
-        sim::Duration perEntryLatency = sim::usec(4);
     };
 
     Bookie(sim::Core& exec, sim::HostId host, sim::DiskModel& journalDrive, Config cfg);

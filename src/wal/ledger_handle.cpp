@@ -50,7 +50,7 @@ sim::Future<EntryId> LedgerHandle::addEntry(BufChain data) {
 }
 
 void LedgerHandle::sendToBookie(Bookie* bookie, EntryId entry, const BufChain& data) {
-    const uint64_t wireBytes = data.size() + kWireOverhead;
+    const uint64_t wireBytes = data.size() + sim::kWireOverheadBytes;
     net_.send(clientHost_, bookie->host(), wireBytes,
               [this, alive = alive_, bookie, entry, data]() {
                   if (!*alive) return;
@@ -58,7 +58,7 @@ void LedgerHandle::sendToBookie(Bookie* bookie, EntryId entry, const BufChain& d
                       .onComplete([this, alive, bookie, entry](const Result<sim::Unit>& r) {
                           if (!*alive) return;
                           // Response travels back to the client.
-                          net_.send(bookie->host(), clientHost_, kWireOverhead,
+                          net_.send(bookie->host(), clientHost_, sim::kWireOverheadBytes,
                                     [this, alive, bookie, entry, r]() {
                                         if (*alive) onAck(bookie, entry, r);
                                     });

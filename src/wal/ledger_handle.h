@@ -76,9 +76,6 @@ private:
 
 class LedgerHandle {
 public:
-    /// Per-entry request/response framing on the wire.
-    static constexpr uint64_t kWireOverhead = 64;
-
     LedgerHandle(sim::Core& exec, sim::Network& net, sim::HostId clientHost,
                  LedgerRegistry& registry, LedgerId id, ReplicationConfig repl);
     ~LedgerHandle();

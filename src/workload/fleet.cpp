@@ -11,6 +11,9 @@ namespace pravega::workload {
 
 namespace {
 constexpr const char* kLog = "fleet";
+/// Streams created per setup batch (each batch is drained with
+/// runUntilIdle before the next).
+constexpr size_t kSetupBatch = 512;
 
 uint64_t streamSeed(uint64_t fleetSeed, size_t streamIdx, uint64_t salt) {
     return pravega::mix64(fleetSeed ^ pravega::mix64((streamIdx + 1) * 2 + salt));
@@ -84,7 +87,7 @@ Status FleetWorkload::setup() {
         batch.push_back(ctrl.createStream(s.scopedName.substr(0, slash),
                                           s.scopedName.substr(slash + 1),
                                           spec.streamConfig));
-        if (static_cast<int>(batch.size()) >= cfg_.setupBatch) {
+        if (batch.size() >= kSetupBatch) {
             Status st = drain();
             if (!st) return st;
         }

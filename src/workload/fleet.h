@@ -59,9 +59,6 @@ struct FleetConfig {
     std::vector<TenantSpec> tenants;
     sim::Duration tick = sim::msec(250);
     uint64_t seed = 42;
-    /// Streams created per setup batch (each batch is drained with
-    /// runUntilIdle before the next).
-    int setupBatch = 512;
 };
 
 class FleetWorkload {

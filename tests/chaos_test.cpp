@@ -350,8 +350,10 @@ TEST(ChaosTest, LtsFaultsNeverAffectAcksAndTieringConverges) {
     ChaosSchedule::Config ccfg;
     ccfg.seed = 7;
     ccfg.bookieFaults = false;
-    ccfg.networkFaults = false;
-    ccfg.ltsFaults = true;
+    ccfg.partitionFaults = false;
+    ccfg.degradeFaults = false;
+    ccfg.ltsOutageFaults = true;
+    ccfg.ltsSlowdownFaults = true;
     ccfg.horizon = sim::sec(1);
     ccfg.faults = 4;
     ChaosSchedule schedule(cluster, ccfg);

@@ -396,10 +396,10 @@ TEST(FramingTest, DecodeEventExRejectsOversizeLengthBeforeArithmetic) {
     std::memcpy(buf.data(), &len, kEventHeaderBytes);
     EXPECT_EQ(decodeEventEx(BytesView(buf), pos, payload), DecodeStatus::Partial);
 
-    // The legacy wrapper folds Corrupt into "no event" without advancing.
+    // A corrupt frame is reported without advancing the cursor.
     len = 0xFFFFFFFFu;
     std::memcpy(buf.data(), &len, kEventHeaderBytes);
-    EXPECT_FALSE(decodeEvent(BytesView(buf), pos).has_value());
+    EXPECT_EQ(decodeEventEx(BytesView(buf), pos, payload), DecodeStatus::Corrupt);
     EXPECT_EQ(pos, 0u);
 }
 

@@ -679,28 +679,6 @@ TEST_F(ContainerFixture, PrefetchNeverEvictsUnflushedTail) {
     EXPECT_EQ(lts.readOps(), ltsReadsBefore);
 }
 
-TEST_F(ContainerFixture, LegacyReadPathStillServesLtsReads) {
-    // Ablation flag off: the serial fetch-retry path must still work.
-    BlockCache::Config tiny;
-    tiny.blockSize = 4096;
-    tiny.blocksPerBuffer = 4;
-    tiny.maxBuffers = 2;
-    BlockCache smallCache(tiny);
-    auto cfg = fastConfig();
-    cfg.readPipeline.enabled = false;
-    auto c = std::make_unique<SegmentContainer>(exec, 1, env(), 1, lts, smallCache, cfg);
-    ASSERT_TRUE(c->start().isOk());
-    c->createSegment(kSeg, "s");
-    exec.runUntilIdle();
-    appendSync(*c, kSeg, std::string(16000, 'A'));
-    exec.runFor(sim::sec(1));
-    appendSync(*c, kSeg, std::string(16000, 'B'));
-    exec.runFor(sim::sec(1));
-    Bytes head = readSync(*c, kSeg, 0, 100);
-    ASSERT_FALSE(head.empty());
-    EXPECT_EQ(head[0], 'A');
-}
-
 TEST_F(ContainerFixture, OfflineContainerRejectsEverything) {
     auto c = makeContainer(1, fastConfig());
     c->createSegment(kSeg, "s");

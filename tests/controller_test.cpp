@@ -367,7 +367,7 @@ struct AutoScalerFixture : public ControllerFixture {
 };
 
 TEST_F(AutoScalerFixture, ExactHotBoundaryNeverSplits) {
-    // Hot is strict: rate > hotFactor × target. A segment pinned exactly AT
+    // Hot is strict: rate > kHotFactor × target. A segment pinned exactly AT
     // the target must never split, no matter how long it sustains.
     AutoScaler scaler(cluster.machine(), cluster.ctrl(), cluster.stores());
     ASSERT_TRUE(cluster.createStream("sc", "edge", scalingCfg()).isOk());
@@ -381,7 +381,7 @@ TEST_F(AutoScalerFixture, ExactHotBoundaryNeverSplits) {
 }
 
 TEST_F(AutoScalerFixture, ExactColdBoundaryNeverMerges) {
-    // Cold is strict: rate < coldFactor × target. Both siblings pinned
+    // Cold is strict: rate < kColdFactor × target. Both siblings pinned
     // exactly AT the cold threshold must never merge.
     AutoScaler scaler(cluster.machine(), cluster.ctrl(), cluster.stores());
     ASSERT_TRUE(cluster.createStream("sc", "edge", scalingCfg(2)).isOk());

@@ -546,8 +546,8 @@ TEST(MonitorClusterTest, SameSeedChaosProducesByteIdenticalAlarmLogs) {
 
         ChaosSchedule::Config ccfg;
         ccfg.seed = 1234;
-        ccfg.networkFaults = false;
-        ccfg.ltsFaults = false;  // bookie crashes only
+        ccfg.partitionFaults = false;  // bookie crashes only
+        ccfg.degradeFaults = false;
         ccfg.start = sim::msec(500);
         ccfg.horizon = sim::msec(600);
         ccfg.faults = 2;

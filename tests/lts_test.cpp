@@ -391,7 +391,7 @@ TEST_F(ArchiveTierTest, IdleChunkMigratesAndReadsIdentically) {
     EXPECT_TRUE(std::equal(payload.begin(), payload.end(), data.view().begin()));
     // Deep-read first byte: at least the seek (the cartridge is still
     // mounted from the migration write — affinity, no second mount).
-    EXPECT_GE(exec_.now() - start, archive_.config().tape.seekLatency);
+    EXPECT_GE(exec_.now() - start, sim::TapeLibraryModel::kSeekLatency);
     EXPECT_EQ(archive_.tape().mounts(), 1u);
     EXPECT_EQ(archive_.archiveReads(), 1u);
 }
@@ -452,7 +452,7 @@ TEST_F(ArchiveTierTest, SizePressureSparesActivelyWrittenChunks) {
     waitStatus(exec, arch.create("seg-4-0"));
     waitStatus(exec, arch.append("seg-4-0", BufChain(Bytes(4096, 9))));
     // Over capacity, but the chunk was appended this very tick (inside the
-    // pressureMinIdle window): it must not become a migration victim.
+    // kPressureMinIdle window): it must not become a migration victim.
     arch.scanNow();
     exec.runUntilIdle();
     EXPECT_EQ(arch.archivedChunks(), 0u);

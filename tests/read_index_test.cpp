@@ -37,7 +37,7 @@ struct ReadIndexFixture : public ::testing::Test {
 
 TEST_F(ReadIndexFixture, AppendThenReadHit) {
     Bytes data = seq(100);
-    ASSERT_TRUE(index.append(kSeg, 0, BytesView(data)).isOk());
+    ASSERT_TRUE(index.append(kSeg, 0, BufChain(data)).isOk());
     auto outcome = index.read(kSeg, 0, 1000, 100, 0);
     ASSERT_TRUE(outcome.isOk());
     auto* hit = std::get_if<ReadHit>(&outcome.value());
@@ -47,7 +47,7 @@ TEST_F(ReadIndexFixture, AppendThenReadHit) {
 
 TEST_F(ReadIndexFixture, ReadFromMiddleOffset) {
     Bytes data = seq(100);
-    ASSERT_TRUE(index.append(kSeg, 0, BytesView(data)).isOk());
+    ASSERT_TRUE(index.append(kSeg, 0, BufChain(data)).isOk());
     auto outcome = index.read(kSeg, 40, 20, 100, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
@@ -55,8 +55,8 @@ TEST_F(ReadIndexFixture, ReadFromMiddleOffset) {
 }
 
 TEST_F(ReadIndexFixture, ContiguousAppendsExtendLastEntry) {
-    ASSERT_TRUE(index.append(kSeg, 0, BytesView(seq(50))).isOk());
-    ASSERT_TRUE(index.append(kSeg, 50, BytesView(seq(50, 50))).isOk());
+    ASSERT_TRUE(index.append(kSeg, 0, BufChain(seq(50))).isOk());
+    ASSERT_TRUE(index.append(kSeg, 50, BufChain(seq(50, 50))).isOk());
     EXPECT_EQ(index.entryCount(), 1u);  // one extended entry, O(1) appends
     auto outcome = index.read(kSeg, 0, 100, 100, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
@@ -66,13 +66,13 @@ TEST_F(ReadIndexFixture, ContiguousAppendsExtendLastEntry) {
 }
 
 TEST_F(ReadIndexFixture, EntriesSplitAtMaxLength) {
-    ASSERT_TRUE(index.append(kSeg, 0, BytesView(seq(250))).isOk());
-    ASSERT_TRUE(index.append(kSeg, 250, BytesView(seq(250))).isOk());
+    ASSERT_TRUE(index.append(kSeg, 0, BufChain(seq(250))).isOk());
+    ASSERT_TRUE(index.append(kSeg, 250, BufChain(seq(250))).isOk());
     EXPECT_GE(index.entryCount(), 2u);
 }
 
 TEST_F(ReadIndexFixture, AtTailSignalled) {
-    index.append(kSeg, 0, BytesView(seq(10)));
+    index.append(kSeg, 0, BufChain(seq(10)));
     auto outcome = index.read(kSeg, 10, 100, 10, 0);
     ASSERT_TRUE(outcome.isOk());
     EXPECT_TRUE(std::holds_alternative<ReadAtTail>(outcome.value()));
@@ -90,7 +90,7 @@ TEST_F(ReadIndexFixture, MissReportedForEvictedPrefix) {
 }
 
 TEST_F(ReadIndexFixture, MissBoundedByNextIndexedEntry) {
-    index.insertFromStorage(kSeg, 500, BytesView(seq(100)));
+    index.insertFromStorage(kSeg, 500, BufChain(seq(100)));
     auto outcome = index.read(kSeg, 0, 10000, 1000, 0);
     auto* miss = std::get_if<ReadMiss>(&outcome.value());
     ASSERT_NE(miss, nullptr);
@@ -99,7 +99,7 @@ TEST_F(ReadIndexFixture, MissBoundedByNextIndexedEntry) {
 }
 
 TEST_F(ReadIndexFixture, InsertFromStorageThenHit) {
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BytesView(seq(100))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BufChain(seq(100))).isOk());
     auto outcome = index.read(kSeg, 0, 100, 1000, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
@@ -107,9 +107,9 @@ TEST_F(ReadIndexFixture, InsertFromStorageThenHit) {
 }
 
 TEST_F(ReadIndexFixture, InsertFromStorageDoesNotOverwriteIndexed) {
-    index.insertFromStorage(kSeg, 50, BytesView(seq(50, 99)));
+    index.insertFromStorage(kSeg, 50, BufChain(seq(50, 99)));
     // Overlapping fetch: only the gap [0,50) should be indexed.
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BytesView(seq(100))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BufChain(seq(100))).isOk());
     auto outcome = index.read(kSeg, 50, 50, 100, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
     ASSERT_NE(hit, nullptr);
@@ -121,9 +121,9 @@ TEST_F(ReadIndexFixture, InsertFromStorageTrimsAgainstFloorEntry) {
     // from below: only the gap [0, 50) may be indexed. (Regression: the old
     // code trimmed only against the ceiling entry, so the overlapping tail
     // of the floor entry double-indexed bytes 50..79.)
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 50, BytesView(seq(50, 50))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 50, BufChain(seq(50, 50))).isOk());
     ASSERT_EQ(index.indexedBytes(), 50u);
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BytesView(seq(80))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BufChain(seq(80))).isOk());
     EXPECT_EQ(index.indexedBytes(), 100u);  // not 130: no double-indexing
 
     auto head = index.read(kSeg, 0, 50, 100, 0);
@@ -139,8 +139,8 @@ TEST_F(ReadIndexFixture, InsertFromStorageTrimsAgainstFloorEntry) {
 TEST_F(ReadIndexFixture, InsertFromStorageStartingInsideFloorEntry) {
     // Existing [0, 60); a fetch [40, 100) starts inside it. Bytes 40..59
     // must be skipped, only [60, 100) indexed.
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BytesView(seq(60))).isOk());
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 40, BytesView(seq(60, 40))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BufChain(seq(60))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 40, BufChain(seq(60, 40))).isOk());
     EXPECT_EQ(index.indexedBytes(), 100u);
     auto outcome = index.read(kSeg, 60, 40, 100, 0);
     auto* hit = std::get_if<ReadHit>(&outcome.value());
@@ -151,8 +151,8 @@ TEST_F(ReadIndexFixture, InsertFromStorageStartingInsideFloorEntry) {
 TEST_F(ReadIndexFixture, InsertFromStorageFillsGapsAroundExistingEntry) {
     // Existing [40, 60); a fetch [0, 100) straddles it. Both gaps fill,
     // the resident entry stays, and every byte is indexed exactly once.
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 40, BytesView(seq(20, 40))).isOk());
-    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BytesView(seq(100))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 40, BufChain(seq(20, 40))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BufChain(seq(100))).isOk());
     EXPECT_EQ(index.indexedBytes(), 100u);
     int64_t offset = 0;
     Bytes all;
@@ -167,8 +167,40 @@ TEST_F(ReadIndexFixture, InsertFromStorageFillsGapsAroundExistingEntry) {
     EXPECT_EQ(all, seq(100));
 }
 
+TEST_F(ReadIndexFixture, InsertFromStorageSplitsMultiFragmentChainBetweenEntries) {
+    // Bytes of the segment are their offset mod 256. Resident entries
+    // [0, 40) and [600, 640) sit below and above a fetch of [20, 620) that
+    // arrives as four fragments. Only [40, 600) may be indexed, and at
+    // maxEntryLength 256 it splits into [40, 296), [296, 552), [552, 600):
+    // the splits fall inside fragments, not on their boundaries.
+    auto range = [](size_t from, size_t to) {
+        return seq(to - from, static_cast<uint8_t>(from));
+    };
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 0, BufChain(range(0, 40))).isOk());
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 600, BufChain(range(600, 640))).isOk());
+    BufChain fetched;
+    fetched.append(range(20, 120));
+    fetched.append(range(120, 270));
+    fetched.append(range(270, 470));
+    fetched.append(range(470, 620));
+    ASSERT_EQ(fetched.fragmentCount(), 4u);
+    ASSERT_TRUE(index.insertFromStorage(kSeg, 20, fetched).isOk());
+
+    EXPECT_EQ(index.indexedBytes(), 640u);
+    EXPECT_EQ(index.entryCount(), 5u);
+    Bytes all;
+    while (all.size() < 640) {
+        auto outcome = index.read(kSeg, static_cast<int64_t>(all.size()), 640, 640, 0);
+        auto* hit = std::get_if<ReadHit>(&outcome.value());
+        ASSERT_NE(hit, nullptr) << "offset " << all.size();
+        ASSERT_FALSE(hit->data.empty());
+        all.insert(all.end(), hit->data.begin(), hit->data.end());
+    }
+    EXPECT_EQ(all, range(0, 640));
+}
+
 TEST_F(ReadIndexFixture, TruncatedReadRejected) {
-    index.append(kSeg, 0, BytesView(seq(100)));
+    index.append(kSeg, 0, BufChain(seq(100)));
     auto outcome = index.read(kSeg, 10, 10, 100, /*startOffset=*/50);
     EXPECT_EQ(outcome.code(), Err::Truncated);
 }
@@ -180,12 +212,12 @@ TEST_F(ReadIndexFixture, BadOffsetRejected) {
 
 TEST_F(ReadIndexFixture, UnknownSegmentRejected) {
     EXPECT_EQ(index.read(999, 0, 10, 100, 0).code(), Err::NotFound);
-    EXPECT_EQ(index.append(999, 0, BytesView(seq(1))).code(), Err::NotFound);
+    EXPECT_EQ(index.append(999, 0, BufChain(seq(1))).code(), Err::NotFound);
 }
 
 TEST_F(ReadIndexFixture, TruncateDropsCoveredEntries) {
-    index.append(kSeg, 0, BytesView(seq(250)));    // splits into entries
-    index.append(kSeg, 250, BytesView(seq(250)));
+    index.append(kSeg, 0, BufChain(seq(250)));    // splits into entries
+    index.append(kSeg, 250, BufChain(seq(250)));
     uint64_t before = cache.storedBytes();
     index.truncate(kSeg, 256);  // first entry (0..255) fully covered
     EXPECT_LT(cache.storedBytes(), before);
@@ -193,7 +225,7 @@ TEST_F(ReadIndexFixture, TruncateDropsCoveredEntries) {
 }
 
 TEST_F(ReadIndexFixture, RemoveSegmentFreesCache) {
-    index.append(kSeg, 0, BytesView(seq(300)));
+    index.append(kSeg, 0, BufChain(seq(300)));
     EXPECT_GT(cache.storedBytes(), 0u);
     index.removeSegment(kSeg);
     EXPECT_EQ(cache.storedBytes(), 0u);
@@ -204,7 +236,7 @@ TEST_F(ReadIndexFixture, EvictionOnlyBelowStorageWatermark) {
     // Fill most of the 8 KB cache with one segment; nothing is in LTS, so
     // the cache policy must evict NOTHING.
     for (int i = 0; i < 28; ++i) {
-        ASSERT_TRUE(index.append(kSeg, i * 256, BytesView(seq(256))).isOk());
+        ASSERT_TRUE(index.append(kSeg, i * 256, BufChain(seq(256))).isOk());
     }
     EXPECT_GT(cache.utilization(), 0.8);
     EXPECT_EQ(index.applyCachePolicy(), 0);
@@ -227,7 +259,7 @@ TEST_F(ReadIndexFixture, CacheFullAppendEvictsAndContinues) {
     // far more than the cache holds: appends must keep succeeding.
     for (int i = 0; i < 128; ++i) {
         index.setStorageLength(kSeg, i * 256);
-        ASSERT_TRUE(index.append(kSeg, i * 256, BytesView(seq(256))).isOk()) << i;
+        ASSERT_TRUE(index.append(kSeg, i * 256, BufChain(seq(256))).isOk()) << i;
     }
     EXPECT_LE(cache.storedBytes(), cache.capacityBytes());
 }

@@ -463,7 +463,7 @@ TEST(ShardingTest, CrossCoreHopPaysHandoffLatency) {
     TimePoint hopAt = -1;
     m.core(0).schedule(100, [&] { m.submitTo(1, [&] { hopAt = m.now(); }); });
     m.runUntilIdle();
-    EXPECT_EQ(hopAt, 100 + m.config().handoffLatency);
+    EXPECT_EQ(hopAt, 100 + kHandoffLatency);
     EXPECT_EQ(m.crossCoreMessages(), 1u);
 }
 
@@ -528,8 +528,8 @@ TEST(ShardingTest, SingleCoreReproducesPreShardGoldenTrace) {
 
 
 // --- event-queue fast path -------------------------------------------------
-// The scheduler keeps per-core three-tier queues (due-now FIFO / timer
-// wheel / far heap) with an incrementally cached minimum. These tests pin
+// The scheduler keeps per-core two-tier queues (timer wheel / far heap)
+// with an incrementally cached minimum. These tests pin
 // down (a) the merge order against a brute-force reference, (b) the
 // one-selection-per-dispatch contract of the dispatch loops, and (c) the
 // wheel-horizon edge cases.
@@ -548,7 +548,7 @@ TEST(SchedulerFastPath, DifferentialOrderMatchesReferenceMergeOrder) {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         return lcg >> 33;
     };
-    // Delay menu spanning all three tiers: due-now, sub-slot, mid-wheel,
+    // Delay menu spanning both tiers: zero-delay, sub-slot, mid-wheel,
     // wheel edge (the 2^13ns x 2048 horizon is ~16.8ms), and far heap.
     const Duration menu[] = {0, 0, 13, usec(3), usec(300), msec(5),
                              msec(16), msec(17), msec(60)};
@@ -614,7 +614,7 @@ TEST(SchedulerFastPath, FarEventCrossesIntoWheelWindowCorrectly) {
     // A: far beyond the wheel horizon at push time.
     m.schedule(msec(50), [&] { order.push_back(0); });
     m.runUntil(msec(40));
-    // B: now inside the wheel, earlier than A. C: due-now post behind the
+    // B: now inside the wheel, earlier than A. C: zero-delay post behind the
     // wheel cursor position that scanning may have advanced to.
     m.schedule(msec(1), [&] { order.push_back(1); });
     m.post([&] { order.push_back(2); });

@@ -71,7 +71,7 @@ TEST_F(WalFixture, BookieGroupCommit) {
     // processing charge (expressed as equivalent bytes), in only 2 journal
     // writes: the first entry alone, then the remaining 99 as one group.
     uint64_t perEntryBytes = static_cast<uint64_t>(
-        static_cast<double>(Bookie::Config{}.perEntryLatency) / 1e9 *
+        static_cast<double>(Bookie::kPerEntryLatency) / 1e9 *
         sim::DiskModel::Config{}.bytesPerSec);
     EXPECT_GE(disks[0]->bytesWritten(), 100u * 33u);
     EXPECT_LE(disks[0]->bytesWritten(), 100u * 33u + 100 * (perEntryBytes + 1));

@@ -106,7 +106,7 @@ TEST_F(BatchingFixture, FullFramesCarryNoArtificialDelay) {
     auto uri = cluster.ctrl().getCurrentSegments("sc/st").value()[0];
     auto* container = containerOf(uri);
     auto writer = cluster.makeWriter("sc/st");
-    // Sustained large appends → frames fill to maxFrameBytes.
+    // Sustained large appends → frames fill to the 1 MB frame cap.
     for (int round = 0; round < 20; ++round) {
         for (int i = 0; i < 200; ++i) {
             writer->writeEvent("k", toBytes(std::string(10000, 'x')));

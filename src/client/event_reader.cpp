@@ -20,7 +20,8 @@ EventReader::EventReader(sim::Core& exec, sim::Network& net, sim::HostId readerH
       name_(std::move(readerName)),
       cfg_(cfg),
       sync_(exec, net, readerHost, std::move(syncUri)),
-      alive_(std::make_shared<bool>(true)) {
+      alive_(std::make_shared<bool>(true)),
+      mEvents_(exec.metrics().counter("client.reader.events")) {
     sync_.updateState([this](const ReaderGroupState&) {
              return std::optional<Bytes>(ReaderGroupState::makeAddReader(name_));
          })
@@ -139,7 +140,7 @@ std::optional<EventRead> EventReader::pollEvent() {
         if (payload) {
             rrLast_ = seg;
             ++eventsRead_;
-            exec_.metrics().counter("client.reader.events").inc();
+            mEvents_.inc();
             return EventRead{std::move(*payload), seg, stream->position()};
         }
     }

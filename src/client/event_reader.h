@@ -12,6 +12,7 @@
 #include "client/reader_group.h"
 #include "client/segment_input_stream.h"
 #include "client/state_synchronizer.h"
+#include "obs/metrics.h"
 
 namespace pravega::client {
 
@@ -76,6 +77,7 @@ private:
     uint64_t timerEpoch_ = 0;
     uint64_t eventsRead_ = 0;
     std::shared_ptr<bool> alive_;
+    obs::Counter& mEvents_;
 };
 
 }  // namespace pravega::client

@@ -22,7 +22,8 @@ EventWriter::EventWriter(sim::Core& exec, sim::Network& net, sim::HostId clientH
       cfg_(cfg),
       writerId_(nextWriterId_++),
       rng_(writerId_ * 0x9E3779B97F4A7C15ULL),
-      alive_(std::make_shared<bool>(true)) {}
+      alive_(std::make_shared<bool>(true)),
+      mSubmitted_(exec.metrics().counter("client.writer.events_submitted")) {}
 
 EventWriter::~EventWriter() { *alive_ = false; }
 
@@ -68,7 +69,7 @@ void EventWriter::writeEvent(std::string_view routingKey, BytesView payload, Eve
         return;
     }
     ++eventsWritten_;
-    exec_.metrics().counter("client.writer.events_submitted").inc();
+    mSubmitted_.inc();
     if (stream->sealed()) {
         // A scale event is mid-flight for this key range: queue behind the
         // events already awaiting re-route so per-key order is preserved.

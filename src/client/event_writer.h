@@ -14,6 +14,7 @@
 
 #include "client/segment_output_stream.h"
 #include "controller/controller.h"
+#include "obs/metrics.h"
 #include "sim/network.h"
 #include "sim/random.h"
 
@@ -71,6 +72,7 @@ private:
     std::shared_ptr<bool> alive_;
     uint64_t eventsWritten_ = 0;
     uint64_t rerouted_ = 0;
+    obs::Counter& mSubmitted_;
 
     static WriterId nextWriterId_;
 };

@@ -1,6 +1,10 @@
 #include "lts/chunk_codec.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <memory>
+#include <stdexcept>
 
 #include "common/hash.h"
 #include "common/serde.h"
@@ -12,74 +16,136 @@ using sim::Unit;
 
 // ------------------------------------------------------------- block codec
 
-Bytes ChunkCodec::rleEncode(BytesView raw) {
-    Bytes out;
-    out.reserve(raw.size() / 4 + 16);
+namespace {
+
+constexpr uint64_t kByteOnes = 0x0101010101010101ULL;
+constexpr uint64_t kByteHighs = 0x8080808080808080ULL;
+constexpr size_t kMaxRun = 0x7F + 3;
+constexpr size_t kMaxLiteral = 0x7F + 1;
+
+// Length of the run of p[0]'s value starting at p, capped at `limit` (>= 1).
+// Eight bytes per step: XOR against the broadcast byte, and the first
+// non-zero byte of the difference ends the run.
+size_t runLength(const uint8_t* p, size_t limit) {
+    const uint64_t pattern = kByteOnes * p[0];
+    size_t run = 1;
+    for (; run + 8 <= limit; run += 8) {
+        const uint64_t diff = loadLe64(p + run) ^ pattern;
+        if (diff != 0) return run + static_cast<size_t>(std::countr_zero(diff)) / 8;
+    }
+    while (run < limit && p[run] == p[0]) ++run;
+    return run;
+}
+
+// First j in [from, end) where p[j] == p[j+1] == p[j+2] with j+2 < n, or
+// `end`. Eight positions per step: byte k of (a^b)|(a^c) over the words at
+// j, j+1 and j+2 is zero iff a triple starts at j+k, and the lowest set bit
+// of the classic zero-byte mask marks the first such byte exactly (borrows
+// only run upward). Word loads stay below n: the last one ends at j+9.
+size_t nextTriple(const uint8_t* p, size_t from, size_t end, size_t n) {
+    size_t j = from;
+    for (; j + 8 <= end && j + 10 <= n; j += 8) {
+        const uint64_t a = loadLe64(p + j);
+        const uint64_t d = (a ^ loadLe64(p + j + 1)) | (a ^ loadLe64(p + j + 2));
+        const uint64_t zero = (d - kByteOnes) & ~d & kByteHighs;
+        if (zero != 0) return j + static_cast<size_t>(std::countr_zero(zero)) / 8;
+    }
+    for (; j < end; ++j) {
+        if (j + 2 < n && p[j] == p[j + 1] && p[j] == p[j + 2]) return j;
+    }
+    return end;
+}
+
+// PackBits-encodes in[0, n) into out, writing at most `cap` bytes. Returns
+// the encoded length, or cap + 1 as soon as the encoding would not fit.
+size_t packBits(const uint8_t* in, size_t n, uint8_t* out, size_t cap) {
     size_t i = 0;
-    const size_t n = raw.size();
+    size_t o = 0;
     while (i < n) {
-        size_t run = 1;
-        while (i + run < n && raw[i + run] == raw[i] && run < 130) ++run;
+        const size_t run = runLength(in + i, std::min(n - i, kMaxRun));
         if (run >= 3) {
-            out.push_back(static_cast<uint8_t>(0x80u | (run - 3)));
-            out.push_back(raw[i]);
+            if (o + 2 > cap) return cap + 1;
+            out[o++] = static_cast<uint8_t>(0x80u | (run - 3));
+            out[o++] = in[i];
             i += run;
             continue;
         }
-        // Literal run: up to 128 bytes, stopping where a >=3 repeat starts.
-        size_t start = i;
-        while (i < n && i - start < 128) {
-            if (i + 2 < n && raw[i] == raw[i + 1] && raw[i] == raw[i + 2]) break;
-            ++i;
-        }
-        out.push_back(static_cast<uint8_t>(i - start - 1));
-        out.insert(out.end(), raw.begin() + start, raw.begin() + i);
+        // Literal stretch: up to 128 bytes, ending where a >=3 repeat
+        // starts. Position i itself cannot start one (run < 3).
+        const size_t end = nextTriple(in, i + 1, std::min(i + kMaxLiteral, n), n);
+        const size_t lit = end - i;
+        if (o + 1 + lit > cap) return cap + 1;
+        out[o++] = static_cast<uint8_t>(lit - 1);
+        std::memcpy(out + o, in + i, lit);
+        o += lit;
+        i = end;
     }
+    return o;
+}
+
+}  // namespace
+
+Bytes ChunkCodec::rleEncode(BytesView raw) {
+    // Worst case: every 128 input bytes cost one extra control byte.
+    Bytes out(raw.size() + (raw.size() + kMaxLiteral - 1) / kMaxLiteral);
+    const size_t len = packBits(raw.data(), raw.size(), out.data(), out.size());
+    if (len > out.size()) throw std::logic_error("rleEncode: worst-case bound exceeded");
+    out.resize(len);
     return out;
 }
 
-Result<Bytes> ChunkCodec::rleDecode(BytesView enc, size_t rawLen) {
-    Bytes out;
-    out.reserve(rawLen);
+Status ChunkCodec::rleDecode(BytesView enc, std::span<uint8_t> out) {
+    const size_t n = enc.size();
+    const size_t rawLen = out.size();
     size_t i = 0;
-    while (i < enc.size()) {
-        uint8_t c = enc[i++];
+    size_t o = 0;
+    while (i < n) {
+        const uint8_t c = enc[i++];
         if (c & 0x80u) {
-            if (i >= enc.size()) return Status(Err::IoError, "rle: truncated run");
-            out.insert(out.end(), (c & 0x7Fu) + 3, enc[i++]);
+            if (i >= n) return Status(Err::IoError, "rle: truncated run");
+            const size_t run = (c & 0x7Fu) + 3;
+            if (run > rawLen - o) return Status(Err::IoError, "rle: output overflow");
+            std::memset(out.data() + o, enc[i], run);
+            ++i;
+            o += run;
         } else {
-            size_t lit = static_cast<size_t>(c) + 1;
-            if (i + lit > enc.size()) return Status(Err::IoError, "rle: truncated literals");
-            out.insert(out.end(), enc.begin() + i, enc.begin() + i + lit);
+            const size_t lit = static_cast<size_t>(c) + 1;
+            if (lit > n - i) return Status(Err::IoError, "rle: truncated literals");
+            if (lit > rawLen - o) return Status(Err::IoError, "rle: output overflow");
+            std::memcpy(out.data() + o, enc.data() + i, lit);
             i += lit;
+            o += lit;
         }
-        if (out.size() > rawLen) return Status(Err::IoError, "rle: output overflow");
     }
-    if (out.size() != rawLen) return Status(Err::IoError, "rle: output size mismatch");
-    return out;
+    if (o != rawLen) return Status(Err::IoError, "rle: output size mismatch");
+    return Status::ok();
 }
 
-Bytes ChunkCodec::encodeBlock(BytesView raw) {
-    Bytes body = rleEncode(raw);
+SharedBuf ChunkCodec::encodeBlock(BytesView raw) {
+    // Header and body share one buffer. The RLE body may use at most
+    // raw.size() - 1 bytes; otherwise the block stores the payload verbatim
+    // (method kRaw) so it never expands past the fixed header overhead.
+    WritableBuf out(kHeaderBytes + raw.size());
+    uint8_t* body = out.data() + kHeaderBytes;
     uint8_t method = kRle;
-    if (body.size() >= raw.size()) {
-        // Incompressible: store verbatim so a block never expands past the
-        // fixed header overhead.
-        body.assign(raw.begin(), raw.end());
+    size_t encLen = packBits(raw.data(), raw.size(), body, raw.size());
+    if (encLen >= raw.size()) {
         method = kRaw;
+        encLen = raw.size();
+        if (encLen > 0) std::memcpy(body, raw.data(), encLen);
     }
-    Bytes out;
-    out.reserve(kHeaderBytes + body.size());
-    BinaryWriter w(out);
+    Bytes header;
+    header.reserve(kHeaderBytes);
+    BinaryWriter w(header);
     w.u32(kMagic);
     w.u8(kVersion);
     w.u8(method);
     w.u16(0);  // reserved
     w.u32(static_cast<uint32_t>(raw.size()));
-    w.u32(static_cast<uint32_t>(body.size()));
+    w.u32(static_cast<uint32_t>(encLen));
     w.u32(crc32(raw.data(), raw.size()));
-    w.raw(BytesView(body));
-    return out;
+    std::memcpy(out.data(), header.data(), kHeaderBytes);
+    return std::move(out).freeze(kHeaderBytes + encLen);
 }
 
 Result<ChunkCodec::BlockHeader> ChunkCodec::parseHeader(BytesView stored) {
@@ -108,28 +174,28 @@ Result<ChunkCodec::BlockHeader> ChunkCodec::parseHeader(BytesView stored) {
     return h;
 }
 
-Result<Bytes> ChunkCodec::decodeBlock(BytesView stored) {
+Status ChunkCodec::decodeBlock(BytesView stored, std::span<uint8_t> out) {
     auto hr = parseHeader(stored);
     if (!hr) return hr.status();
     const BlockHeader& h = hr.value();
+    if (h.rawLen != out.size()) {
+        return Status(Err::ChecksumMismatch, "block raw length mismatch");
+    }
     BytesView body = stored.subspan(kHeaderBytes, h.encLen);
-    Bytes raw;
     if (h.method == kRaw) {
         if (h.encLen != h.rawLen) {
             return Status(Err::ChecksumMismatch, "raw block length mismatch");
         }
-        raw.assign(body.begin(), body.end());
+        if (!body.empty()) std::memcpy(out.data(), body.data(), body.size());
     } else if (h.method == kRle) {
-        auto dec = rleDecode(body, h.rawLen);
-        if (!dec) return Status(Err::ChecksumMismatch, "corrupt rle body");
-        raw = std::move(dec.value());
+        if (!rleDecode(body, out)) return Status(Err::ChecksumMismatch, "corrupt rle body");
     } else {
         return Status(Err::ChecksumMismatch, "unknown codec method");
     }
-    if (crc32(raw.data(), raw.size()) != h.crc) {
+    if (crc32(out.data(), out.size()) != h.crc) {
         return Status(Err::ChecksumMismatch, "payload crc mismatch");
     }
-    return raw;
+    return Status::ok();
 }
 
 // -------------------------------------------------------- CodecChunkStorage
@@ -158,9 +224,10 @@ Future<Unit> CodecChunkStorage::append(const std::string& name, BufChain data) {
         // Chunk predates the codec (mixed stack): pass through untouched.
         return inner_.append(name, std::move(data));
     }
-    Bytes raw = data.toBytes();
+    // A one-fragment chain is encoded straight from its storage.
+    const SharedBuf raw = data.linearize();
     const uint64_t rawLen = raw.size();
-    Bytes block = ChunkCodec::encodeBlock(BytesView(raw));
+    SharedBuf block = ChunkCodec::encodeBlock(raw.view());
     const uint64_t storedLen = block.size();
 
     sim::Promise<Unit> p;
@@ -169,7 +236,7 @@ Future<Unit> CodecChunkStorage::append(const std::string& name, BufChain data) {
     cpu_.executeFor(compressTime)
         .onComplete([this, name, rawLen, storedLen, block = std::move(block),
                      p](const Result<Unit>&) mutable {
-            inner_.append(name, BufChain(std::move(block)))
+            inner_.append(name, std::move(block))
                 .onComplete([this, name, rawLen, storedLen, p](const Result<Unit>& r) mutable {
                     if (r.isOk()) {
                         auto& ix = chunks_[name];
@@ -230,8 +297,9 @@ Future<SharedBuf> CodecChunkStorage::read(const std::string& name, uint64_t offs
                 return;
             }
             BytesView stored = r.value().view();
-            Bytes out;
-            out.reserve(static_cast<size_t>(n));
+            // Blocks the range covers whole decode straight into the result;
+            // only a partial first or last block goes through a scratch buffer.
+            WritableBuf out(static_cast<size_t>(n));
             uint64_t decodedRaw = 0;
             for (const Block& b : cover) {
                 uint64_t at = b.storedOff - storedStart;
@@ -240,24 +308,31 @@ Future<SharedBuf> CodecChunkStorage::read(const std::string& name, uint64_t offs
                     p.setError(Err::ChecksumMismatch, "stored block truncated: " + name);
                     return;
                 }
-                auto dec = ChunkCodec::decodeBlock(
-                    stored.subspan(static_cast<size_t>(at), static_cast<size_t>(b.storedLen)));
-                if (!dec || dec.value().size() != b.rawLen) {
+                BytesView block =
+                    stored.subspan(static_cast<size_t>(at), static_cast<size_t>(b.storedLen));
+                const size_t rawLen = static_cast<size_t>(b.rawLen);
+                const uint64_t from = offset > b.rawOff ? offset - b.rawOff : 0;
+                const uint64_t to = std::min<uint64_t>(b.rawLen, offset + n - b.rawOff);
+                uint8_t* dst = out.data() + (b.rawOff + from - offset);
+                Status st;
+                if (from == 0 && to == b.rawLen) {
+                    st = ChunkCodec::decodeBlock(block, std::span<uint8_t>(dst, rawLen));
+                } else {
+                    auto scratch = std::make_unique_for_overwrite<uint8_t[]>(rawLen);
+                    st = ChunkCodec::decodeBlock(block, std::span<uint8_t>(scratch.get(), rawLen));
+                    if (st) std::memcpy(dst, scratch.get() + from, static_cast<size_t>(to - from));
+                }
+                if (!st) {
                     mChecksumFailures_.inc();
-                    p.setError(Err::ChecksumMismatch,
-                               "chunk " + name + ": " + dec.status().message());
+                    p.setError(Err::ChecksumMismatch, "chunk " + name + ": " + st.message());
                     return;
                 }
                 decodedRaw += b.rawLen;
-                uint64_t from = offset > b.rawOff ? offset - b.rawOff : 0;
-                uint64_t to = std::min<uint64_t>(b.rawLen, offset + n - b.rawOff);
-                pravega::append(out, BytesView(dec.value().data() + from,
-                                               static_cast<size_t>(to - from)));
             }
             mDecodeNs_.record(exec_.now() - startedAt);
             // Decompression charges CPU for every decoded block byte — the
             // read amplification cost of block-granular compression.
-            SharedBuf result{std::move(out)};
+            SharedBuf result = std::move(out).freeze(static_cast<size_t>(n));
             cpu_.executeFor(sim::transferTime(decodedRaw, kDecompressBytesPerSec))
                 .onComplete([p, result](const Result<Unit>&) mutable { p.setValue(result); });
         });

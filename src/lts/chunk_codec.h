@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,19 +52,29 @@ struct ChunkCodec {
 
     /// PackBits-style RLE: control byte c < 0x80 → (c+1) literal bytes
     /// follow; c >= 0x80 → the next byte repeats ((c & 0x7F) + 3) times.
+    /// Greedy: a run of >= 3 equal bytes (at most 130) is always taken, and
+    /// a literal stretch (at most 128) ends where the next such run starts.
+    /// The output is part of the stored format and must stay byte-for-byte
+    /// stable (DESIGN.md §12). The codec itself encodes through encodeBlock;
+    /// this standalone form exists for the byte-identity tests, and throws
+    /// std::logic_error if its worst-case output bound were ever exceeded.
     static Bytes rleEncode(BytesView raw);
-    /// Decodes exactly `rawLen` bytes or fails (malformed stream).
-    static Result<Bytes> rleDecode(BytesView enc, size_t rawLen);
+    /// Decodes exactly out.size() bytes into `out` or fails (malformed
+    /// stream). Bounds are checked before every write, so a failure never
+    /// writes past `out`.
+    static Status rleDecode(BytesView enc, std::span<uint8_t> out);
 
     /// Encodes one append into header + body (RLE, or raw fallback when RLE
     /// would not shrink the payload).
-    static Bytes encodeBlock(BytesView raw);
+    static SharedBuf encodeBlock(BytesView raw);
     /// Parses a header at the front of `stored`. Fails on bad magic/version
     /// or lengths inconsistent with the available bytes.
     static Result<BlockHeader> parseHeader(BytesView stored);
-    /// Decodes and CRC-verifies one block (header + body). A CRC or format
-    /// failure is Err::ChecksumMismatch — corruption must never decode.
-    static Result<Bytes> decodeBlock(BytesView stored);
+    /// Decodes and CRC-verifies one block (header + body) into `out`, whose
+    /// size must equal the block's raw length. A CRC, length or format
+    /// failure is Err::ChecksumMismatch — corruption must never decode (the
+    /// contents of `out` are then unspecified).
+    static Status decodeBlock(BytesView stored, std::span<uint8_t> out);
 };
 
 /// Decorator that compresses/checksums every block written to `inner` and

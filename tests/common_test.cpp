@@ -1,6 +1,8 @@
 // Unit tests for common utilities: buffers, serialization, hashing, Result.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/bytes.h"
 #include "common/hash.h"
 #include "common/result.h"
@@ -49,6 +51,21 @@ TEST(SharedBufTest, CopyOfDetachesFromSource) {
     SharedBuf buf = SharedBuf::copyOf(BytesView(src));
     src[0] = 'X';
     EXPECT_EQ(toString(buf.view()), "data");
+}
+
+TEST(SharedBufTest, WritableBufFreezesWithoutCopy) {
+    WritableBuf w(8);
+    ASSERT_EQ(w.size(), 8u);
+    std::memcpy(w.data(), "abcdefgh", 8);
+    const uint8_t* bytes = w.data();
+    SharedBuf frozen = std::move(w).freeze(5);
+    EXPECT_EQ(toString(frozen.view()), "abcde");
+    EXPECT_EQ(frozen.data(), bytes);  // zero copy
+    EXPECT_EQ(frozen.slice(2, 10).data(), bytes + 2);
+
+    WritableBuf over(3);
+    std::memcpy(over.data(), "xyz", 3);
+    EXPECT_EQ(std::move(over).freeze(100).size(), 3u);  // clamped to the allocation
 }
 
 TEST(SerdeTest, FixedWidthRoundTrip) {
@@ -135,6 +152,56 @@ TEST_P(SerdeRandomRoundTrip, MixedRecords) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerdeRandomRoundTrip, ::testing::Values(1, 2, 3, 42, 1234));
+
+// Bytewise CRC-32/IEEE straight from the reflected-polynomial definition,
+// the reference the slice-by-8 crc32 must match bit for bit.
+uint32_t referenceCrc32(const uint8_t* data, size_t len, uint32_t seed = 0) {
+    uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < len; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+Bytes randomBytes(uint64_t seed, size_t n) {
+    sim::Rng rng(seed);
+    Bytes b(n);
+    for (auto& x : b) x = static_cast<uint8_t>(rng.next());
+    return b;
+}
+
+TEST(HashTest, Crc32CheckVector) {
+    const Bytes check = toBytes("123456789");
+    EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(HashTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+    // Lengths 0..1100 cover the bytewise tail alone, every tail length after
+    // whole 8-byte words, and many words; the 8 start offsets cover every
+    // alignment of the unaligned word loads.
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        const Bytes buf = randomBytes(seed, 1100 + 8);
+        for (size_t align = 0; align < 8; ++align) {
+            for (size_t len = 0; len <= 1100; ++len) {
+                const uint8_t* p = buf.data() + align;
+                ASSERT_EQ(crc32(p, len), referenceCrc32(p, len))
+                    << "seed " << seed << " align " << align << " len " << len;
+            }
+        }
+    }
+}
+
+TEST(HashTest, Crc32ChainsAtEverySplit) {
+    const Bytes buf = randomBytes(9, 4096);
+    const uint32_t whole = crc32(buf.data(), buf.size());
+    EXPECT_EQ(whole, referenceCrc32(buf.data(), buf.size()));
+    for (size_t split = 0; split <= buf.size(); ++split) {
+        const uint32_t head = crc32(buf.data(), split);
+        ASSERT_EQ(crc32(buf.data() + split, buf.size() - split, head), whole) << "split " << split;
+    }
+}
 
 TEST(HashTest, KeyHashInUnitInterval) {
     sim::Rng rng(7);

@@ -4,7 +4,9 @@
 // persistence of the filesystem backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <span>
 
 #include "common/hash.h"
 #include "lts/archive_tier.h"
@@ -12,6 +14,7 @@
 #include "lts/chunk_storage.h"
 #include "lts/fault_injection.h"
 #include "sim/machine.h"
+#include "sim/random.h"
 
 namespace pravega::lts {
 namespace {
@@ -234,33 +237,231 @@ TEST(FileSystemChunkStorageTest, SlashAndUnderscoreNamesDoNotCollide) {
 
 // ------------------------------------------------------------ codec tests
 
+Bytes encodeToBytes(BytesView raw) {
+    SharedBuf block = ChunkCodec::encodeBlock(raw);
+    return Bytes(block.view().begin(), block.view().end());
+}
+
+// Decodes a whole block the way CodecChunkStorage::read does: the raw
+// length sizes the output, then decodeBlock fills and verifies it.
+Result<Bytes> decodeWhole(BytesView block) {
+    auto h = ChunkCodec::parseHeader(block);
+    if (!h) return h.status();
+    Bytes out(h.value().rawLen);
+    Status st = ChunkCodec::decodeBlock(block, out);
+    if (!st) return st;
+    return out;
+}
+
+// The bytewise PackBits encoder the stored format was defined with. The
+// word-at-a-time ChunkCodec::rleEncode must match it byte for byte: stored
+// block sizes drive the modelled object-store timing.
+Bytes referenceRleEncode(BytesView raw) {
+    Bytes out;
+    size_t i = 0;
+    const size_t n = raw.size();
+    while (i < n) {
+        size_t run = 1;
+        while (i + run < n && raw[i + run] == raw[i] && run < 130) ++run;
+        if (run >= 3) {
+            out.push_back(static_cast<uint8_t>(0x80u | (run - 3)));
+            out.push_back(raw[i]);
+            i += run;
+            continue;
+        }
+        size_t start = i;
+        while (i < n && i - start < 128) {
+            if (i + 2 < n && raw[i] == raw[i + 1] && raw[i] == raw[i + 2]) break;
+            ++i;
+        }
+        out.push_back(static_cast<uint8_t>(i - start - 1));
+        out.insert(out.end(), raw.begin() + start, raw.begin() + i);
+    }
+    return out;
+}
+
+// Bytes with no two equal neighbours (no run, no triple anywhere).
+Bytes noRepeat(size_t n, uint8_t salt = 0) {
+    Bytes b(n);
+    for (size_t i = 0; i < n; ++i) b[i] = static_cast<uint8_t>(i * 131 + 7 + salt);
+    return b;
+}
+
+// Alternating random / run stretches of 16..112 bytes, as in the
+// benchmark's payload pool.
+Bytes mixedStretches(uint64_t seed, size_t n) {
+    sim::Rng rng(seed);
+    Bytes b(n);
+    size_t pos = 0;
+    bool literal = true;
+    while (pos < n) {
+        size_t len = std::min<size_t>(n - pos, 16 + rng.nextBounded(97));
+        if (literal) {
+            for (size_t i = 0; i < len; ++i) b[pos + i] = static_cast<uint8_t>(rng.next());
+        } else {
+            std::fill_n(b.begin() + static_cast<std::ptrdiff_t>(pos), len,
+                        static_cast<uint8_t>(rng.nextBounded(256)));
+        }
+        pos += len;
+        literal = !literal;
+    }
+    return b;
+}
+
+void expectEncodeMatchesReference(const Bytes& raw, const std::string& what) {
+    Bytes enc = ChunkCodec::rleEncode(BytesView(raw));
+    ASSERT_EQ(enc, referenceRleEncode(BytesView(raw))) << what;
+    // Decode into exactly raw.size() bytes followed by guard bytes, which
+    // the decoder must never reach.
+    constexpr size_t kGuard = 160;
+    Bytes dec(raw.size() + kGuard, 0xCC);
+    ASSERT_TRUE(
+        ChunkCodec::rleDecode(BytesView(enc), std::span<uint8_t>(dec.data(), raw.size())).isOk())
+        << what;
+    EXPECT_TRUE(std::equal(raw.begin(), raw.end(), dec.begin())) << what;
+    EXPECT_EQ(std::count(dec.begin() + static_cast<std::ptrdiff_t>(raw.size()), dec.end(), 0xCC),
+              static_cast<std::ptrdiff_t>(kGuard))
+        << what << ": decode wrote past rawLen";
+}
+
+TEST(ChunkCodecTest, RleEncodeMatchesBytewiseReference) {
+    for (uint64_t seed : {1u, 2u, 3u, 11u, 12u, 13u}) {
+        expectEncodeMatchesReference(mixedStretches(seed, 64 * 1024),
+                                     "mixed seed " + std::to_string(seed));
+    }
+    for (size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 10u, 11u, 129u, 130u, 131u, 4096u}) {
+        expectEncodeMatchesReference(Bytes(n, 0x5A), "all-same n=" + std::to_string(n));
+        expectEncodeMatchesReference(noRepeat(n), "no-repeat n=" + std::to_string(n));
+    }
+    // Small alphabets put runs of 2, triples and long runs at every offset
+    // relative to the 8-byte words and the 128/130-byte token limits.
+    for (uint64_t alphabet : {2u, 3u, 5u}) {
+        sim::Rng rng(alphabet);
+        for (size_t n = 0; n <= 300; ++n) {
+            Bytes raw(n);
+            for (auto& x : raw) x = static_cast<uint8_t>(rng.nextBounded(alphabet));
+            expectEncodeMatchesReference(
+                raw, "alphabet " + std::to_string(alphabet) + " n=" + std::to_string(n));
+        }
+    }
+    // Every input of length 0..3 over a two-letter alphabet.
+    for (size_t n = 0; n <= 3; ++n) {
+        for (uint32_t bits = 0; bits < (1u << n); ++bits) {
+            Bytes raw(n);
+            for (size_t i = 0; i < n; ++i) raw[i] = static_cast<uint8_t>('a' + ((bits >> i) & 1));
+            expectEncodeMatchesReference(raw, "tiny n=" + std::to_string(n));
+        }
+    }
+}
+
+TEST(ChunkCodecTest, RleRunLengthsAtControlByteLimits) {
+    for (size_t run : {2u, 3u, 127u, 128u, 129u, 130u, 131u, 260u}) {
+        for (size_t lead : {0u, 1u, 5u, 13u}) {
+            Bytes raw = noRepeat(lead, 3);
+            raw.insert(raw.end(), run, 0xEE);
+            Bytes tail = noRepeat(9, 77);
+            raw.insert(raw.end(), tail.begin(), tail.end());
+            expectEncodeMatchesReference(
+                raw, "run " + std::to_string(run) + " after " + std::to_string(lead));
+        }
+    }
+}
+
+TEST(ChunkCodecTest, RleTripleAtLiteralLimit) {
+    // A triple starting at literal offsets 126..128 falls on, just inside
+    // and just past the 128-byte literal cap; offsets around them too.
+    for (size_t at = 120; at <= 136; ++at) {
+        Bytes raw = noRepeat(at);
+        raw.insert(raw.end(), 3, 0xEE);
+        Bytes tail = noRepeat(40, 91);
+        raw.insert(raw.end(), tail.begin(), tail.end());
+        expectEncodeMatchesReference(raw, "triple at " + std::to_string(at));
+    }
+}
+
+TEST(ChunkCodecTest, RleInputEndingInRepeats) {
+    for (size_t lead : {1u, 7u, 8u, 9u, 126u, 127u, 128u, 200u}) {
+        for (size_t rep : {2u, 3u}) {
+            Bytes raw = noRepeat(lead);
+            raw.insert(raw.end(), rep, 0xEE);
+            expectEncodeMatchesReference(raw, "lead " + std::to_string(lead) + " rep " +
+                                                  std::to_string(rep));
+        }
+    }
+}
+
+TEST(ChunkCodecTest, RleDecodeRejectsMalformedWithoutWritingPastOutput) {
+    // Each case decodes into a buffer of rawLen bytes followed by guard
+    // bytes; a failure must leave every guard byte untouched.
+    constexpr size_t kGuard = 64;
+    struct Case {
+        const char* what;
+        Bytes enc;
+        size_t rawLen;
+    };
+    Bytes literalOverflow(1 + 128, 'q');
+    literalOverflow[0] = 0x7F;  // 128 literals into an 8-byte output
+    const Case cases[] = {
+        {"truncated run", {0x81}, 4},
+        {"truncated literals", {0x05, 'a', 'b'}, 6},
+        {"run overflow", {0x80 | 0x7F, 'z'}, 16},
+        {"literal overflow", literalOverflow, 8},
+        {"overflow after valid run", {0x80, 'a', 0x80, 'b'}, 4},
+        {"size mismatch (short)", {0x80, 'a'}, 4},
+        {"empty stream, nonzero size", {}, 1},
+    };
+    for (const Case& c : cases) {
+        Bytes buf(c.rawLen + kGuard, 0xCC);
+        Status st =
+            ChunkCodec::rleDecode(BytesView(c.enc), std::span<uint8_t>(buf.data(), c.rawLen));
+        EXPECT_FALSE(st.isOk()) << c.what;
+        for (size_t i = c.rawLen; i < buf.size(); ++i) {
+            ASSERT_EQ(buf[i], 0xCC) << c.what << ": wrote past rawLen at " << i;
+        }
+    }
+}
+
 TEST(ChunkCodecTest, BlockRoundTripAndRawFallback) {
     Bytes zeros(4096, 0);  // highly compressible
-    Bytes block = ChunkCodec::encodeBlock(BytesView(zeros));
+    Bytes block = encodeToBytes(BytesView(zeros));
     EXPECT_LT(block.size(), zeros.size() / 4);
-    auto dec = ChunkCodec::decodeBlock(BytesView(block));
+    auto dec = decodeWhole(BytesView(block));
     ASSERT_TRUE(dec.isOk());
     EXPECT_EQ(dec.value(), zeros);
 
-    Bytes noise(1024);  // incompressible: every byte distinct from neighbors
-    for (size_t i = 0; i < noise.size(); ++i) noise[i] = static_cast<uint8_t>(i * 131 + 7);
-    Bytes rawBlock = ChunkCodec::encodeBlock(BytesView(noise));
+    Bytes noise = noRepeat(1024);  // incompressible
+    Bytes rawBlock = encodeToBytes(BytesView(noise));
     EXPECT_EQ(rawBlock.size(), noise.size() + ChunkCodec::kHeaderBytes);
-    auto rawDec = ChunkCodec::decodeBlock(BytesView(rawBlock));
+    auto rawDec = decodeWhole(BytesView(rawBlock));
     ASSERT_TRUE(rawDec.isOk());
     EXPECT_EQ(rawDec.value(), noise);
+
+    // The body is the reference PackBits stream whenever it is smaller.
+    for (uint64_t seed : {4u, 5u}) {
+        Bytes raw = mixedStretches(seed, 8192);
+        Bytes mixed = encodeToBytes(BytesView(raw));
+        Bytes ref = referenceRleEncode(BytesView(raw));
+        ASSERT_LT(ref.size(), raw.size());
+        ASSERT_EQ(mixed.size(), ChunkCodec::kHeaderBytes + ref.size());
+        EXPECT_TRUE(std::equal(ref.begin(), ref.end(), mixed.begin() + ChunkCodec::kHeaderBytes));
+        EXPECT_EQ(decodeWhole(BytesView(mixed)).value(), raw);
+    }
+
+    // A block decodes only into exactly its raw length.
+    Bytes wrong(zeros.size() - 1);
+    EXPECT_EQ(ChunkCodec::decodeBlock(BytesView(block), wrong).code(), Err::ChecksumMismatch);
 }
 
 TEST(ChunkCodecTest, CorruptionNeverDecodes) {
     Bytes payload(512, 'x');
     payload[100] = 'y';
-    Bytes block = ChunkCodec::encodeBlock(BytesView(payload));
+    Bytes block = encodeToBytes(BytesView(payload));
     // Flip one bit at every position in turn: header, lengths, CRC, body —
     // every single-bit corruption must surface as ChecksumMismatch.
     for (size_t byte = 0; byte < block.size(); byte += 7) {
         Bytes bad = block;
         bad[byte] ^= 0x10;
-        auto dec = ChunkCodec::decodeBlock(BytesView(bad));
+        auto dec = decodeWhole(BytesView(bad));
         if (dec.isOk()) {
             // The only acceptable "ok" is the payload being bit-identical
             // (a flip in padding that cannot exist in this format).
@@ -272,8 +473,7 @@ TEST(ChunkCodecTest, CorruptionNeverDecodes) {
     }
     // Truncation too.
     Bytes cut(block.begin(), block.begin() + block.size() / 2);
-    EXPECT_EQ(ChunkCodec::decodeBlock(BytesView(cut)).status().code(),
-              Err::ChecksumMismatch);
+    EXPECT_EQ(decodeWhole(BytesView(cut)).status().code(), Err::ChecksumMismatch);
 }
 
 class CodecStorageTest : public ::testing::Test {
@@ -303,6 +503,39 @@ TEST_F(CodecStorageTest, RoundTripWithCompression) {
     EXPECT_EQ(codec_.stat("c").value().length, a.size() + b.size());
     EXPECT_LT(mem_.totalBytes(), (a.size() + b.size()) / 4);
     EXPECT_GT(codec_.rawBytes(), codec_.storedBytes());
+    EXPECT_EQ(codec_.checksumFailures(), 0u);
+}
+
+TEST_F(CodecStorageTest, ReadsInsideAndAcrossBlocks) {
+    // Five blocks of different sizes and contents. Whole blocks decode
+    // straight into the result and partial end blocks through a scratch
+    // buffer; both must return exactly the requested bytes.
+    waitStatus(exec_, codec_.create("c"));
+    Bytes all;
+    for (size_t k = 0; k < 5; ++k) {
+        Bytes block = k % 2 == 0 ? mixedStretches(20 + k, 1000 + 300 * k) : noRepeat(700, k);
+        waitStatus(exec_, codec_.append("c", BufChain(Bytes(block))));
+        all.insert(all.end(), block.begin(), block.end());
+    }
+    EXPECT_GT(codec_.rawBytes(), codec_.storedBytes());
+    const std::pair<size_t, size_t> ranges[] = {
+        {10, 50},                // starts and ends inside block 0
+        {1000, 300},             // exactly block 1's start, ends inside it
+        {999, 1},                // the last byte of block 0
+        {1500, 700},             // inside block 1 → inside block 2
+        {1200, 2700},            // inside block 1 → inside block 3 (>= 3 blocks)
+        {0, all.size()},         // every block whole
+        {1, all.size() - 2},     // all five, both ends partial
+        {1700, all.size() - 1700},  // from block 2's start to the end
+    };
+    for (auto [off, len] : ranges) {
+        auto got = waitValue(exec_, codec_.read("c", off, len));
+        ASSERT_EQ(got.size(), len) << "range " << off << "+" << len;
+        EXPECT_TRUE(std::equal(all.begin() + static_cast<std::ptrdiff_t>(off),
+                               all.begin() + static_cast<std::ptrdiff_t>(off + len),
+                               got.view().begin()))
+            << "range " << off << "+" << len;
+    }
     EXPECT_EQ(codec_.checksumFailures(), 0u);
 }
 

@@ -7,9 +7,8 @@
 // reaches a max throughput well above Kafka(no flush) while Kafka(flush)
 // pays a large latency penalty at moderate rates; (b) 16 segments —
 // Pravega and Kafka(no flush) both reach ~1M events/s.
-#include "bench/harness/adapters.h"
 #include "bench/harness/detection.h"
-#include "bench/harness/report.h"
+#include "bench/harness/sweep.h"
 
 using namespace pravega;
 using namespace pravega::bench;
@@ -17,8 +16,6 @@ using namespace pravega::bench;
 namespace {
 
 const double kRates[] = {10e3, 50e3, 100e3, 250e3, 500e3, 800e3, 1.2e6, 1.6e6};
-
-size_t rateCount() { return smoke() ? 1 : std::size(kRates); }
 
 WorkloadConfig workload(double rate) {
     WorkloadConfig cfg;
@@ -31,32 +28,13 @@ WorkloadConfig workload(double rate) {
     return shrinkForSmoke(cfg);
 }
 
-void sweepPravega(Report& report, const char* name, int segments, bool journalSync) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        PravegaOptions opt;
-        opt.segments = segments;
-        opt.numWriters = 1;
-        opt.journalSync = journalSync;
-        auto world = makePravega(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        report.add(name, stats, &world->exec().mergedMetrics());
-        if (stats.achievedEventsPerSec < 0.85 * rate) break;  // saturated
-    }
-}
-
-void sweepKafka(Report& report, const char* name, int partitions, bool flush) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        KafkaOptions opt;
-        opt.partitions = partitions;
-        opt.numProducers = 1;
-        opt.flushEveryMessage = flush;
-        auto world = makeKafka(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        report.add(name, stats, &world->exec().mergedMetrics());
-        if (stats.achievedEventsPerSec < 0.85 * rate) break;
-    }
+/// One curve: producer-side rows until achieved < 85% of offered events/s.
+template <typename MakeWorld>
+void sweep(Report& report, const char* series, MakeWorld makeWorld) {
+    sweepRates(kRates, 0.85, workload, makeWorld, [&](auto& world, const RunStats& s) {
+        report.add(series, s, &world.exec().mergedMetrics());
+        return s.achievedEventsPerSec;
+    });
 }
 
 }  // namespace
@@ -65,15 +43,18 @@ int main() {
     Report report("fig05_durability", "Figure 5: durability vs write performance");
 
     report.section("Figure 5a: durability, 1 segment/partition, 1 writer, 100B events");
-    sweepPravega(report, "pravega-flush/1seg", 1, true);
-    sweepPravega(report, "pravega-noflush/1seg", 1, false);
-    sweepKafka(report, "kafka-noflush/1part", 1, false);
-    sweepKafka(report, "kafka-flush/1part", 1, true);
+    sweep(report, "pravega-flush/1seg", [] { return makePravega({.segments = 1}); });
+    sweep(report, "pravega-noflush/1seg",
+          [] { return makePravega({.segments = 1, .journalSync = false}); });
+    sweep(report, "kafka-noflush/1part", [] { return makeKafka({.partitions = 1}); });
+    sweep(report, "kafka-flush/1part",
+          [] { return makeKafka({.partitions = 1, .flushEveryMessage = true}); });
 
     report.section("Figure 5b: durability, 16 segments/partitions, 1 writer, 100B events");
-    sweepPravega(report, "pravega-flush/16seg", 16, true);
-    sweepKafka(report, "kafka-noflush/16part", 16, false);
-    sweepKafka(report, "kafka-flush/16part", 16, true);
+    sweep(report, "pravega-flush/16seg", [] { return makePravega({.segments = 16}); });
+    sweep(report, "kafka-noflush/16part", [] { return makeKafka({.partitions = 16}); });
+    sweep(report, "kafka-flush/16part",
+          [] { return makeKafka({.partitions = 16, .flushEveryMessage = true}); });
 
     if (chaosMode()) {
         report.section("Figure 5c: write path under bookie chaos (BENCH_CHAOS=1)",

@@ -9,8 +9,7 @@
 //     batching (1ms/128KB) and with a throughput-oriented configuration
 //     (10ms linger, 1MB batches). The paper finds the bigger batches do NOT
 //     help under random routing keys.
-#include "bench/harness/adapters.h"
-#include "bench/harness/report.h"
+#include "bench/harness/sweep.h"
 
 using namespace pravega;
 using namespace pravega::bench;
@@ -18,8 +17,6 @@ using namespace pravega::bench;
 namespace {
 
 const double kRates[] = {5e3, 10e3, 50e3, 100e3, 250e3, 500e3, 800e3, 1.2e6};
-
-size_t rateCount() { return smoke() ? 1 : std::size(kRates); }
 
 WorkloadConfig workload(double rate) {
     WorkloadConfig cfg;
@@ -31,44 +28,13 @@ WorkloadConfig workload(double rate) {
     return shrinkForSmoke(cfg);
 }
 
-void sweepPravega(Report& report, const char* name, int segments) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        PravegaOptions opt;
-        opt.segments = segments;
-        auto world = makePravega(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        report.add(name, stats, &world->exec().mergedMetrics());
-        if (stats.achievedEventsPerSec < 0.85 * rate) break;
-    }
-}
-
-void sweepPulsar(Report& report, const char* name, int partitions, bool batching) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        PulsarOptions opt;
-        opt.partitions = partitions;
-        opt.batchingEnabled = batching;
-        auto world = makePulsar(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        report.add(name, stats, &world->exec().mergedMetrics());
-        if (stats.achievedEventsPerSec < 0.85 * rate) break;
-    }
-}
-
-void sweepKafka(Report& report, const char* name, int partitions, uint64_t batchBytes,
-                sim::Duration linger) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        KafkaOptions opt;
-        opt.partitions = partitions;
-        opt.batchBytes = batchBytes;
-        opt.lingerTime = linger;
-        auto world = makeKafka(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        report.add(name, stats, &world->exec().mergedMetrics());
-        if (stats.achievedEventsPerSec < 0.85 * rate) break;
-    }
+/// One curve: producer-side rows until achieved < 85% of offered events/s.
+template <typename MakeWorld>
+void sweep(Report& report, const char* series, MakeWorld makeWorld) {
+    sweepRates(kRates, 0.85, workload, makeWorld, [&](auto& world, const RunStats& s) {
+        report.add(series, s, &world.exec().mergedMetrics());
+        return s.achievedEventsPerSec;
+    });
 }
 
 }  // namespace
@@ -77,13 +43,20 @@ int main() {
     Report report("fig06_batching", "Figure 6: client batching strategies");
 
     report.section("Figure 6a: batching strategies, 1 segment/partition, 100B events");
-    sweepPravega(report, "pravega-dynamic/1seg", 1);
-    sweepPulsar(report, "pulsar-batch/1part", 1, true);
-    sweepPulsar(report, "pulsar-nobatch/1part", 1, false);
+    sweep(report, "pravega-dynamic/1seg", [] { return makePravega({.segments = 1}); });
+    sweep(report, "pulsar-batch/1part", [] { return makePulsar({.partitions = 1}); });
+    sweep(report, "pulsar-nobatch/1part",
+          [] { return makePulsar({.partitions = 1, .batchingEnabled = false}); });
 
     report.section("Figure 6b: batching strategies, 16 segments/partitions, 100B events");
-    sweepPravega(report, "pravega-dynamic/16seg", 16);
-    sweepKafka(report, "kafka-1ms-128KB/16part", 16, 128 * 1024, sim::msec(1));
-    sweepKafka(report, "kafka-10ms-1MB/16part", 16, 1024 * 1024, sim::msec(10));
+    sweep(report, "pravega-dynamic/16seg", [] { return makePravega({.segments = 16}); });
+    sweep(report, "kafka-1ms-128KB/16part", [] {
+        return makeKafka(
+            {.partitions = 16, .batchBytes = 128 * 1024, .lingerTime = sim::msec(1)});
+    });
+    sweep(report, "kafka-10ms-1MB/16part", [] {
+        return makeKafka(
+            {.partitions = 16, .batchBytes = 1024 * 1024, .lingerTime = sim::msec(10)});
+    });
     return 0;
 }

@@ -7,8 +7,7 @@
 // not in the write path) and Kafka ~70 MB/s (single-partition pipeline).
 // (b) 16 segments — Pravega highest (~350 MB/s paper), Kafka close,
 // Pulsar lower.
-#include "bench/harness/adapters.h"
-#include "bench/harness/report.h"
+#include "bench/harness/sweep.h"
 
 using namespace pravega;
 using namespace pravega::bench;
@@ -16,8 +15,6 @@ using namespace pravega::bench;
 namespace {
 
 const double kRatesMBps[] = {20, 50, 100, 150, 200, 280, 360, 440};
-
-size_t rateCount() { return smoke() ? 1 : std::size(kRatesMBps); }
 
 WorkloadConfig workload(double mbps) {
     WorkloadConfig cfg;
@@ -29,15 +26,13 @@ WorkloadConfig workload(double mbps) {
     return shrinkForSmoke(cfg);
 }
 
+/// One curve: producer-side rows until achieved < 85% of offered MB/s.
 template <typename MakeWorld>
-void sweep(Report& report, const char* name, MakeWorld make) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double mbps = kRatesMBps[i];
-        auto world = make();
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(mbps));
-        report.add(name, stats, &world->exec().mergedMetrics());
-        if (stats.achievedMBps < 0.85 * mbps) break;
-    }
+void sweep(Report& report, const char* series, MakeWorld makeWorld) {
+    sweepRates(kRatesMBps, 0.85, workload, makeWorld, [&](auto& world, const RunStats& s) {
+        report.add(series, s, &world.exec().mergedMetrics());
+        return s.achievedMBps;
+    });
 }
 
 }  // namespace
@@ -46,43 +41,16 @@ int main() {
     Report report("fig07_large_events", "Figure 7: 10KB events, byte throughput");
 
     report.section("Figure 7a: 10KB events, 1 segment/partition");
-    sweep(report, "pravega-efs/1seg", []() {
-        PravegaOptions opt;
-        opt.segments = 1;
-        return makePravega(opt);
+    sweep(report, "pravega-efs/1seg", [] { return makePravega({.segments = 1}); });
+    sweep(report, "pravega-noop-lts/1seg", [] {
+        return makePravega({.segments = 1, .ltsKind = cluster::LtsKind::NoOp});
     });
-    sweep(report, "pravega-noop-lts/1seg", []() {
-        PravegaOptions opt;
-        opt.segments = 1;
-        opt.ltsKind = cluster::LtsKind::NoOp;
-        return makePravega(opt);
-    });
-    sweep(report, "pulsar/1part", []() {
-        PulsarOptions opt;
-        opt.partitions = 1;
-        return makePulsar(opt);
-    });
-    sweep(report, "kafka/1part", []() {
-        KafkaOptions opt;
-        opt.partitions = 1;
-        return makeKafka(opt);
-    });
+    sweep(report, "pulsar/1part", [] { return makePulsar({.partitions = 1}); });
+    sweep(report, "kafka/1part", [] { return makeKafka({.partitions = 1}); });
 
     report.section("Figure 7b: 10KB events, 16 segments/partitions");
-    sweep(report, "pravega-efs/16seg", []() {
-        PravegaOptions opt;
-        opt.segments = 16;
-        return makePravega(opt);
-    });
-    sweep(report, "pulsar/16part", []() {
-        PulsarOptions opt;
-        opt.partitions = 16;
-        return makePulsar(opt);
-    });
-    sweep(report, "kafka/16part", []() {
-        KafkaOptions opt;
-        opt.partitions = 16;
-        return makeKafka(opt);
-    });
+    sweep(report, "pravega-efs/16seg", [] { return makePravega({.segments = 16}); });
+    sweep(report, "pulsar/16part", [] { return makePulsar({.partitions = 16}); });
+    sweep(report, "kafka/16part", [] { return makeKafka({.partitions = 16}); });
     return 0;
 }

@@ -5,9 +5,8 @@
 // up to saturation; Pulsar never gets under ~12ms (p95) due to its
 // dispatcher pipeline; (b) 16 segments — Pulsar's read throughput drops
 // sharply; Kafka/Pravega latency grows at medium-high rates.
-#include "bench/harness/adapters.h"
 #include "bench/harness/detection.h"
-#include "bench/harness/report.h"
+#include "bench/harness/sweep.h"
 
 using namespace pravega;
 using namespace pravega::bench;
@@ -15,8 +14,6 @@ using namespace pravega::bench;
 namespace {
 
 const double kRates[] = {5e3, 10e3, 50e3, 100e3, 250e3, 500e3, 800e3};
-
-size_t rateCount() { return smoke() ? 1 : std::size(kRates); }
 
 WorkloadConfig workload(double rate) {
     WorkloadConfig cfg;
@@ -28,49 +25,12 @@ WorkloadConfig workload(double rate) {
     return shrinkForSmoke(cfg);
 }
 
-void sweepPravega(Report& report, const char* name, int segments) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        PravegaOptions opt;
-        opt.segments = segments;
-        opt.numReaders = segments;  // one reader per segment, as in §5.1
-        auto world = makePravega(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        world->exec().runFor(sim::msec(200));  // drain deliveries
-        report.addE2e(name, stats, world->consumed.eventsPerSec(), 100, world->e2e,
-                      &world->exec().mergedMetrics());
-        if (world->consumed.eventsPerSec() < 0.70 * rate) break;
-    }
-}
-
-void sweepKafka(Report& report, const char* name, int partitions) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        KafkaOptions opt;
-        opt.partitions = partitions;
-        opt.numConsumers = partitions;
-        auto world = makeKafka(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        world->exec().runFor(sim::msec(200));
-        report.addE2e(name, stats, world->consumed.eventsPerSec(), 100, world->e2e,
-                      &world->exec().mergedMetrics());
-        if (world->consumed.eventsPerSec() < 0.70 * rate) break;
-    }
-}
-
-void sweepPulsar(Report& report, const char* name, int partitions) {
-    for (size_t i = 0; i < rateCount(); ++i) {
-        double rate = kRates[i];
-        PulsarOptions opt;
-        opt.partitions = partitions;
-        opt.numConsumers = partitions;
-        auto world = makePulsar(opt);
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(rate));
-        world->exec().runFor(sim::msec(200));
-        report.addE2e(name, stats, world->consumed.eventsPerSec(), 100, world->e2e,
-                      &world->exec().mergedMetrics());
-        if (world->consumed.eventsPerSec() < 0.70 * rate) break;
-    }
+/// One curve: consumer-side rows until consumed < 70% of offered events/s.
+template <typename MakeWorld>
+void sweep(Report& report, const char* series, MakeWorld makeWorld) {
+    sweepRates(kRates, 0.70, workload, makeWorld, [&](auto& world, const RunStats& s) {
+        return addTailReadRow(report, series, world, s, 100);
+    });
 }
 
 }  // namespace
@@ -85,14 +45,19 @@ int main() {
 
     report.section("Figure 8a: tail reads, 1 segment/partition, 100B events",
                    "achieved/MB/s/latency columns describe the CONSUMER side");
-    sweepPravega(report, "pravega/1seg", 1);
-    sweepKafka(report, "kafka/1part", 1);
-    sweepPulsar(report, "pulsar/1part", 1);
+    // One reader/consumer per segment/partition, as in §5.1.
+    sweep(report, "pravega/1seg", [] { return makePravega({.segments = 1, .numReaders = 1}); });
+    sweep(report, "kafka/1part", [] { return makeKafka({.partitions = 1, .numConsumers = 1}); });
+    sweep(report, "pulsar/1part",
+          [] { return makePulsar({.partitions = 1, .numConsumers = 1}); });
 
     report.section("Figure 8b: tail reads, 16 segments/partitions, 100B events");
-    sweepPravega(report, "pravega/16seg", 16);
-    sweepKafka(report, "kafka/16part", 16);
-    sweepPulsar(report, "pulsar/16part", 16);
+    sweep(report, "pravega/16seg",
+          [] { return makePravega({.segments = 16, .numReaders = 16}); });
+    sweep(report, "kafka/16part",
+          [] { return makeKafka({.partitions = 16, .numConsumers = 16}); });
+    sweep(report, "pulsar/16part",
+          [] { return makePulsar({.partitions = 16, .numConsumers = 16}); });
 
     if (chaosMode()) {
         report.section("Figure 8c: tail reads under partition chaos (BENCH_CHAOS=1)",

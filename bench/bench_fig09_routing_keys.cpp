@@ -5,8 +5,7 @@
 // several times higher with keys (key-ordered dispatch) while its
 // throughput is unchanged; Kafka is faster without keys (sticky batching);
 // Pravega is virtually insensitive to key dispersion.
-#include "bench/harness/adapters.h"
-#include "bench/harness/report.h"
+#include "bench/harness/sweep.h"
 
 using namespace pravega;
 using namespace pravega::bench;
@@ -14,8 +13,6 @@ using namespace pravega::bench;
 namespace {
 
 const double kRates[] = {10e3, 50e3, 100e3, 250e3};
-
-size_t rateCount() { return smoke() ? 1 : std::size(kRates); }
 
 WorkloadConfig workload(double rate, bool keys) {
     WorkloadConfig cfg;
@@ -26,56 +23,29 @@ WorkloadConfig workload(double rate, bool keys) {
     return shrinkForSmoke(cfg);
 }
 
+/// The system's two curves, with random routing keys and without: every
+/// rate's consumer-side row, no saturation stop.
+template <typename MakeWorld>
+void sweepKeys(Report& report, const std::string& system, MakeWorld makeWorld) {
+    for (bool keys : {true, false}) {
+        std::string series = system + (keys ? "-keys" : "-nokeys");
+        sweepRates(
+            kRates, 0, [keys](double rate) { return workload(rate, keys); }, makeWorld,
+            [&](auto& world, const RunStats& s) {
+                return addTailReadRow(report, series, world, s, 100);
+            });
+    }
+}
+
 }  // namespace
 
 int main() {
     Report report("fig09_routing_keys", "Figure 9: routing keys vs read performance");
     report.section("Figure 9: routing keys vs no keys, 16 segments/partitions, 100B events",
                    "latency columns are CONSUMER end-to-end");
-    for (bool keys : {true, false}) {
-        const char* tag = keys ? "keys" : "nokeys";
-        for (size_t i = 0; i < rateCount(); ++i) {
-            double rate = kRates[i];
-            PravegaOptions opt;
-            opt.segments = 16;
-            opt.numReaders = 16;
-            auto world = makePravega(opt);
-            auto stats = runOpenLoop(world->exec(), world->producers, workload(rate, keys));
-            world->exec().runFor(sim::msec(200));
-            report.addE2e(std::string("pravega-") + tag, stats,
-                          world->consumed.eventsPerSec(), 100, world->e2e,
-                          &world->exec().mergedMetrics());
-        }
-    }
-    for (bool keys : {true, false}) {
-        const char* tag = keys ? "keys" : "nokeys";
-        for (size_t i = 0; i < rateCount(); ++i) {
-            double rate = kRates[i];
-            KafkaOptions opt;
-            opt.partitions = 16;
-            opt.numConsumers = 16;
-            auto world = makeKafka(opt);
-            auto stats = runOpenLoop(world->exec(), world->producers, workload(rate, keys));
-            world->exec().runFor(sim::msec(200));
-            report.addE2e(std::string("kafka-") + tag, stats,
-                          world->consumed.eventsPerSec(), 100, world->e2e,
-                          &world->exec().mergedMetrics());
-        }
-    }
-    for (bool keys : {true, false}) {
-        const char* tag = keys ? "keys" : "nokeys";
-        for (size_t i = 0; i < rateCount(); ++i) {
-            double rate = kRates[i];
-            PulsarOptions opt;
-            opt.partitions = 16;
-            opt.numConsumers = 16;
-            auto world = makePulsar(opt);
-            auto stats = runOpenLoop(world->exec(), world->producers, workload(rate, keys));
-            world->exec().runFor(sim::msec(200));
-            report.addE2e(std::string("pulsar-") + tag, stats,
-                          world->consumed.eventsPerSec(), 100, world->e2e,
-                          &world->exec().mergedMetrics());
-        }
-    }
+    sweepKeys(report, "pravega", [] { return makePravega({.segments = 16, .numReaders = 16}); });
+    sweepKeys(report, "kafka", [] { return makeKafka({.partitions = 16, .numConsumers = 16}); });
+    sweepKeys(report, "pulsar",
+              [] { return makePulsar({.partitions = 16, .numConsumers = 16}); });
     return 0;
 }

@@ -6,11 +6,7 @@
 // (multiplexing uses the drive efficiently regardless of parallelism);
 // Kafka is high at 10 partitions but collapses at 500 (far worse with
 // flush); Pulsar sits below the drive limit and degrades with partitions.
-#include <cstdlib>
-#include <string>
-
-#include "bench/harness/adapters.h"
-#include "bench/harness/report.h"
+#include "bench/harness/sweep.h"
 
 using namespace pravega;
 using namespace pravega::bench;
@@ -18,8 +14,6 @@ using namespace pravega::bench;
 namespace {
 
 const double kProbesMBps[] = {10, 25, 50, 100, 200, 300, 450, 650, 800, 1000};
-
-size_t probeCount() { return smoke() ? 1 : std::size(kProbesMBps); }
 
 WorkloadConfig workload(double mbps) {
     WorkloadConfig cfg;
@@ -32,18 +26,20 @@ WorkloadConfig workload(double mbps) {
     return shrinkForSmoke(cfg);
 }
 
-template <typename MakeWorld>
-void probeMax(Report& report, const char* system, int segments, MakeWorld make) {
+/// Probes the rates in order until one achieves < 90% of its offered MB/s
+/// (saturated) and returns the best achieved MB/s. `last`, when given,
+/// receives the last probe's world.
+template <typename Load, typename MakeWorld>
+double probeMax(std::span<const double> probesMBps, Load load, MakeWorld makeWorld,
+                decltype(makeWorld())* last = nullptr) {
     double best = 0;
-    for (size_t i = 0; i < probeCount(); ++i) {
-        double mbps = kProbesMBps[i];
-        auto world = make();
-        auto stats = runOpenLoop(world->exec(), world->producers, workload(mbps));
-        best = std::max(best, stats.achievedMBps);
-        if (stats.achievedMBps < 0.90 * mbps) break;  // saturated
-    }
-    report.addCustom(system, {{"segments", static_cast<double>(segments)},
-                              {"max_throughput_mbps", best}});
+    auto world = sweepRates(probesMBps, 0.90, load, makeWorld,
+                            [&best](auto&, const RunStats& s) {
+                                best = std::max(best, s.achievedMBps);
+                                return s.achievedMBps;
+                            });
+    if (last) *last = std::move(world);
+    return best;
 }
 
 // ----------------------------------------------------- cores sweep (shard)
@@ -71,117 +67,78 @@ std::unique_ptr<PravegaWorld> makeCoresWorld(int cores) {
     return makePravega(opt);
 }
 
-void sweepCores(Report& report, const std::vector<int>& coreCounts) {
+/// Smoke runs one fixed probe far above any core count's capacity: achieved
+/// throughput IS the capacity, so the 4-core >= 2x 1-core smoke gate
+/// measures real scaling (the standard smoke rate cap of 25k e/s would
+/// flatten every core count to the same number).
+const double kCoresSmokeProbeMBps[] = {600};
+
+WorkloadConfig coresWorkload(double mbps) {
+    WorkloadConfig cfg;
+    cfg.eventBytes = 1024;
+    cfg.eventsPerSec = mbps * 1024;
+    cfg.useKeys = true;
+    cfg.warmup = smoke() ? sim::msec(100) : sim::msec(500);
+    cfg.window = smoke() ? sim::msec(400) : sim::sec(2);
+    cfg.maxEvents = smoke() ? 400'000 : 1'500'000;
+    return cfg;
+}
+
+void sweepCores(Report& report) {
     report.section("cores",
                    "max sustained throughput vs segment-store core count "
                    "(shard-per-core substrate, CPU-bound: 1 lane/core @ 40 MB/s)");
-    for (int cores : coreCounts) {
-        double best = 0;
-        uint64_t xcore = 0;
-        if (smoke()) {
-            // One fixed probe far above any core count's capacity: achieved
-            // throughput IS the capacity, so the 4-core >= 2x 1-core smoke
-            // gate measures real scaling (the standard smoke rate cap of
-            // 25k e/s would flatten every core count to the same number).
-            WorkloadConfig cfg;
-            cfg.eventBytes = 1024;
-            cfg.eventsPerSec = 600.0 * 1024;
-            cfg.useKeys = true;
-            cfg.warmup = sim::msec(100);
-            cfg.window = sim::msec(400);
-            cfg.maxEvents = 400'000;
-            auto world = makeCoresWorld(cores);
-            auto stats = runOpenLoop(world->exec(), world->producers, cfg);
-            best = stats.achievedMBps;
-            xcore = world->exec().crossCoreMessages();
-            report.addCustom("pravega-cores",
-                             {{"cores", static_cast<double>(cores)},
-                              {"max_throughput_mbps", best},
-                              {"xcore_messages", static_cast<double>(xcore)}},
-                             &world->exec().mergedMetrics());
-            continue;
-        }
-        for (size_t i = 0; i < std::size(kProbesMBps); ++i) {
-            double mbps = kProbesMBps[i];
-            WorkloadConfig cfg = workload(mbps);
-            cfg.maxEvents = 1'500'000;
-            auto world = makeCoresWorld(cores);
-            auto stats = runOpenLoop(world->exec(), world->producers, cfg);
-            best = std::max(best, stats.achievedMBps);
-            xcore = world->exec().crossCoreMessages();
-            if (stats.achievedMBps < 0.90 * mbps) break;  // saturated
-        }
-        report.addCustom("pravega-cores",
-                         {{"cores", static_cast<double>(cores)},
-                          {"max_throughput_mbps", best},
-                          {"xcore_messages", static_cast<double>(xcore)}});
+    const std::span<const double> probes =
+        smoke() ? std::span<const double>(kCoresSmokeProbeMBps) : kProbesMBps;
+    for (int cores : smoke() ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8}) {
+        std::unique_ptr<PravegaWorld> last;
+        double best = probeMax(probes, coresWorkload, [cores] { return makeCoresWorld(cores); },
+                               &last);
+        report.addCustom(
+            "pravega-cores",
+            {{"cores", static_cast<double>(cores)},
+             {"max_throughput_mbps", best},
+             {"xcore_messages", static_cast<double>(last->exec().crossCoreMessages())}},
+            smoke() ? &last->exec().mergedMetrics() : nullptr);
     }
-}
-
-/// Parses "--cores=1,2,4,8"; empty when the flag is absent.
-std::vector<int> parseCoresFlag(int argc, char** argv) {
-    std::vector<int> out;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--cores=", 0) != 0) continue;
-        std::string list = a.substr(8);
-        size_t pos = 0;
-        while (pos < list.size()) {
-            size_t comma = list.find(',', pos);
-            if (comma == std::string::npos) comma = list.size();
-            out.push_back(std::atoi(list.substr(pos, comma - pos).c_str()));
-            pos = comma + 1;
-        }
-    }
-    return out;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
     Report report("fig11_max_throughput",
                   "Figure 11: max sustained throughput, 10 producers, 1KB events");
     const std::vector<int> segmentCounts = smoke() ? std::vector<int>{10}
                                                    : std::vector<int>{10, 500};
     for (int segments : segmentCounts) {
-        probeMax(report, "pravega", segments, [segments]() {
-            PravegaOptions opt;
-            opt.segments = segments;
-            opt.numWriters = 10;
-            opt.tweak = [](cluster::ClusterConfig& cfg) {
-                cfg.store.container.storage.flushTimeout = sim::sec(5);
-                // The paper's EFS was provisioned well above the journal
-                // drives; the drive (3 replicas over 3 journals) is the
-                // intended bottleneck here.
-                cfg.lts.aggregateBytesPerSec = 1.6e9;
-                cfg.lts.maxConcurrent = 128;
-            };
-            return makePravega(opt);
+        auto row = [&](const char* system, auto makeWorld) {
+            report.addCustom(system, {{"segments", static_cast<double>(segments)},
+                                      {"max_throughput_mbps",
+                                       probeMax(kProbesMBps, workload, makeWorld)}});
+        };
+        row("pravega", [segments] {
+            return makePravega({.segments = segments,
+                                .numWriters = 10,
+                                .tweak = [](cluster::ClusterConfig& cfg) {
+                                    cfg.store.container.storage.flushTimeout = sim::sec(5);
+                                    // The paper's EFS was provisioned well above
+                                    // the journal drives; the drive (3 replicas
+                                    // over 3 journals) is the intended bottleneck.
+                                    cfg.lts.aggregateBytesPerSec = 1.6e9;
+                                    cfg.lts.maxConcurrent = 128;
+                                }});
         });
-        probeMax(report, "kafka-noflush", segments, [segments]() {
-            KafkaOptions opt;
-            opt.partitions = segments;
-            opt.numProducers = 10;
-            return makeKafka(opt);
+        row("kafka-noflush", [segments] {
+            return makeKafka({.partitions = segments, .numProducers = 10});
         });
-        probeMax(report, "kafka-flush", segments, [segments]() {
-            KafkaOptions opt;
-            opt.partitions = segments;
-            opt.numProducers = 10;
-            opt.flushEveryMessage = true;
-            return makeKafka(opt);
+        row("kafka-flush", [segments] {
+            return makeKafka(
+                {.partitions = segments, .numProducers = 10, .flushEveryMessage = true});
         });
-        probeMax(report, "pulsar", segments, [segments]() {
-            PulsarOptions opt;
-            opt.partitions = segments;
-            opt.numProducers = 10;
-            return makePulsar(opt);
+        row("pulsar", [segments] {
+            return makePulsar({.partitions = segments, .numProducers = 10});
         });
     }
-
-    std::vector<int> coreCounts = parseCoresFlag(argc, argv);
-    if (coreCounts.empty()) coreCounts = smoke() ? std::vector<int>{1, 4}
-                                                 : std::vector<int>{1, 2, 4, 8};
-    sweepCores(report, coreCounts);
+    sweepCores(report);
     return 0;
 }

@@ -88,6 +88,38 @@ std::function<void(uint32_t, uint64_t, sim::Duration)> consumerStack(
     };
 }
 
+/// Wires the harness to a baseline (Kafka-/Pulsar-like) world the same way
+/// for both systems: with consumers, one per partition (hosts 900+p) behind
+/// a consumer-side client stack (`consumerArgs` go between the partition
+/// and the delivery callback of the cluster's makeConsumer); then one
+/// Producer per baseline producer (hosts 1000+i) behind its own
+/// producer-side client stack.
+template <typename World, typename Options, typename... ConsumerArgs>
+void wireBaselineClients(World& w, const Options& opt, sim::Duration perEvent, double perByteNs,
+                         sim::Duration readPerEvent, ConsumerArgs... consumerArgs) {
+    for (int p = 0; opt.numConsumers > 0 && p < opt.partitions; ++p) {
+        w.consumers.push_back(w.cluster->makeConsumer(
+            900 + p, "bench", p, consumerArgs...,
+            consumerStack(w.exec(), &w.e2e, &w.consumed, readPerEvent)));
+    }
+    for (int i = 0; i < opt.numProducers; ++i) {
+        auto* producer =
+            w.baselineProducers.emplace_back(w.cluster->makeProducer(1000 + i, "bench")).get();
+        auto stack = std::make_shared<ClientStack>(w.exec(), perEvent, perByteNs);
+        Producer p;
+        p.send = throttleClient(stack, [producer](std::string key, uint32_t size,
+                                                  std::function<void(bool)> ack) {
+            if (ack) {
+                producer->send(key, size, [ack = std::move(ack)](Status s) { ack(s.isOk()); });
+            } else {
+                producer->send(key, size, {});
+            }
+        });
+        p.flush = [producer]() { producer->flush(); };
+        w.producers.push_back(std::move(p));
+    }
+}
+
 }  // namespace
 
 std::unique_ptr<PravegaWorld> makePravega(const PravegaOptions& opt) {
@@ -156,31 +188,8 @@ std::unique_ptr<KafkaWorld> makeKafka(const KafkaOptions& opt) {
                                                                /*firstBrokerHost=*/500, cfg);
     world->cluster->createTopic("bench", opt.partitions);
 
-    if (opt.numConsumers > 0) {
-        KafkaWorld* w = world.get();
-        for (int p = 0; p < opt.partitions; ++p) {
-            world->kconsumers.push_back(world->cluster->makeConsumer(
-                900 + p, "bench", p,
-                consumerStack(w->exec(), &w->e2e, &w->consumed,
-                              ClientCosts::kKafkaReadPerEvent)));
-        }
-    }
-    for (int i = 0; i < opt.numProducers; ++i) {
-        world->kproducers.push_back(world->cluster->makeProducer(1000 + i, "bench"));
-        baselines::KafkaProducer* producer = world->kproducers.back().get();
-        auto stack = std::make_shared<ClientStack>(world->exec(), ClientCosts::kKafkaPerEvent, ClientCosts::kKafkaPerByteNs);
-        Producer p;
-        p.send = throttleClient(stack, [producer](std::string key, uint32_t size,
-                                                  std::function<void(bool)> ack) {
-            if (ack) {
-                producer->send(key, size, [ack = std::move(ack)](Status s) { ack(s.isOk()); });
-            } else {
-                producer->send(key, size, {});
-            }
-        });
-        p.flush = [producer]() { producer->flush(); };
-        world->producers.push_back(std::move(p));
-    }
+    wireBaselineClients(*world, opt, ClientCosts::kKafkaPerEvent, ClientCosts::kKafkaPerByteNs,
+                        ClientCosts::kKafkaReadPerEvent);
     return world;
 }
 
@@ -213,31 +222,8 @@ std::unique_ptr<PulsarWorld> makePulsar(const PulsarOptions& opt) {
         world->lts.get(), cfg);
     world->cluster->createTopic("bench", opt.partitions);
 
-    if (opt.numConsumers > 0) {
-        PulsarWorld* w = world.get();
-        for (int p = 0; p < opt.partitions; ++p) {
-            world->pconsumers.push_back(world->cluster->makeConsumer(
-                900 + p, "bench", p, /*fromEarliest=*/false,
-                consumerStack(w->exec(), &w->e2e, &w->consumed,
-                              ClientCosts::kPulsarReadPerEvent)));
-        }
-    }
-    for (int i = 0; i < opt.numProducers; ++i) {
-        world->pproducers.push_back(world->cluster->makeProducer(1000 + i, "bench"));
-        baselines::PulsarProducer* producer = world->pproducers.back().get();
-        auto stack = std::make_shared<ClientStack>(world->exec(), ClientCosts::kPulsarPerEvent, ClientCosts::kPulsarPerByteNs);
-        Producer p;
-        p.send = throttleClient(stack, [producer](std::string key, uint32_t size,
-                                                  std::function<void(bool)> ack) {
-            if (ack) {
-                producer->send(key, size, [ack = std::move(ack)](Status s) { ack(s.isOk()); });
-            } else {
-                producer->send(key, size, {});
-            }
-        });
-        p.flush = [producer]() { producer->flush(); };
-        world->producers.push_back(std::move(p));
-    }
+    wireBaselineClients(*world, opt, ClientCosts::kPulsarPerEvent, ClientCosts::kPulsarPerByteNs,
+                        ClientCosts::kPulsarReadPerEvent, /*fromEarliest=*/false);
     return world;
 }
 

@@ -47,9 +47,9 @@ struct PravegaOptions {
     int numReaders = 0;  // tail readers feeding the e2e histogram
     bool journalSync = true;                     // Fig 5 "no flush" ablation off
     cluster::LtsKind ltsKind = cluster::LtsKind::SimulatedObject;
-    client::WriterConfig writer;
+    client::WriterConfig writer{};
     /// Override for store/container knobs when needed.
-    std::function<void(cluster::ClusterConfig&)> tweak;
+    std::function<void(cluster::ClusterConfig&)> tweak{};
 };
 
 /// Consumption counters: rate is measured over the interval the consumers
@@ -104,8 +104,8 @@ struct KafkaWorld {
     std::unique_ptr<sim::Machine> execHolder = std::make_unique<sim::Machine>();
     std::unique_ptr<sim::Network> net;
     std::unique_ptr<baselines::KafkaCluster> cluster;
-    std::vector<std::unique_ptr<baselines::KafkaProducer>> kproducers;
-    std::vector<std::unique_ptr<baselines::KafkaConsumer>> kconsumers;
+    std::vector<std::unique_ptr<baselines::KafkaProducer>> baselineProducers;
+    std::vector<std::unique_ptr<baselines::KafkaConsumer>> consumers;
     std::vector<Producer> producers;
     LatencyHistogram e2e;
     ConsumeStats consumed;
@@ -138,8 +138,8 @@ struct PulsarWorld {
     wal::LogMetadataStore logMeta;
     std::unique_ptr<sim::ObjectStoreModel> lts;
     std::unique_ptr<baselines::PulsarCluster> cluster;
-    std::vector<std::unique_ptr<baselines::PulsarProducer>> pproducers;
-    std::vector<std::unique_ptr<baselines::PulsarConsumer>> pconsumers;
+    std::vector<std::unique_ptr<baselines::PulsarProducer>> baselineProducers;
+    std::vector<std::unique_ptr<baselines::PulsarConsumer>> consumers;
     std::vector<Producer> producers;
     LatencyHistogram e2e;
     ConsumeStats consumed;

@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Validates BENCH_*.json files against the pravega-bench/v1 schema.
+"""Validates BENCH_*.json files against the pravega-bench/v1 schema, then
+applies the gates that GATES lists for the file's bench "name": presence
+checks on its rows plus the acceptance bounds of its smoke run
+(scripts/bench_smoke.sh validates the BENCH_SMOKE=1 BENCH_CHAOS=1 output of
+every bench binary).
 
 Usage: validate_bench_json.py FILE [FILE...]
 Exits non-zero (with a message naming the file and violation) on the first
@@ -102,132 +106,232 @@ def check_detection(path, det):
                     fail(path, f"{where}.scores.per_class[{j}] missing {key!r}")
 
 
-def check_cores_rows(path, rows):
-    """The optional "cores" section: throughput-vs-core-count sweeps.
+def need(path, ok, msg):
+    if not ok:
+        fail(path, msg)
 
-    Every row in a section named "cores" must carry a positive integer
-    "cores" value plus at least one measurement, and within one series the
-    core counts must be distinct and increasing (a sweep, not repeats).
-    """
+
+def rows_by_series(doc, prefix):
+    return {r["series"]: r for r in doc["rows"] if r["series"].startswith(prefix)}
+
+
+def need_rows(path, rows, *series):
+    for name in series:
+        need(path, name in rows, f"missing row {name!r}")
+    return [rows[name] for name in series]
+
+
+def need_keys(path, obj, keys, where):
+    for key in keys:
+        need(path, key in obj, f"{where} missing {key!r}")
+
+
+def gate_cores_sweep(path, doc):
+    """Throughput-vs-core-count sweeps (fig10, fig11): every row in a
+    section named "cores" carries a positive integer "cores" value plus at
+    least one measurement, and within one series the core counts are
+    distinct and increasing (a sweep, not repeats)."""
     by_series = {}
-    for i, row in enumerate(rows):
-        if row.get("section") != "cores":
+    for i, row in enumerate(doc["rows"]):
+        if row["section"] != "cores":
             continue
         where = f"rows[{i}]"
         values = row["values"]
-        if "cores" not in values:
-            fail(path, f'{where} is in section "cores" but has no "cores" value')
+        need(path, "cores" in values, f'{where} is in section "cores" but has no "cores" value')
         cores = values["cores"]
-        check_number(path, cores, f"{where}.values.cores")
-        if cores != int(cores) or cores < 1:
-            fail(path, f"{where}.values.cores must be a positive integer: {cores!r}")
-        if len(values) < 2:
-            fail(path, f"{where} has no measurement besides the cores count")
-        by_series.setdefault(row["series"], []).append((int(cores), where))
-    for series, entries in by_series.items():
-        counts = [c for c, _ in entries]
-        if len(set(counts)) != len(counts):
-            fail(path, f'series {series!r} repeats a cores value: {counts}')
-        if counts != sorted(counts):
-            fail(path, f'series {series!r} cores values not increasing: {counts}')
-    return sum(len(v) for v in by_series.values())
+        need(path, cores == int(cores) and cores >= 1,
+             f"{where}.values.cores must be a positive integer: {cores!r}")
+        need(path, len(values) >= 2, f"{where} has no measurement besides the cores count")
+        by_series.setdefault(row["series"], []).append(int(cores))
+    for series, counts in by_series.items():
+        need(path, len(set(counts)) == len(counts),
+             f"series {series!r} repeats a cores value: {counts}")
+        need(path, counts == sorted(counts),
+             f"series {series!r} cores values not increasing: {counts}")
+    return f"cores sweep OK: {sum(map(len, by_series.values()))} rows"
 
 
-def check_archive_rows(path, rows):
-    """The optional archive-tier ablation rows (fig12): the codec + cold
-    archive sweep. Each row must carry the ablation flag, the payload
-    checksum that proves byte-identity across the flag, the codec reduction
-    ratio, and the codec/checksum metrics the smoke gates consume.
-    """
-    archive = [(i, r) for i, r in enumerate(rows)
-               if r["series"].startswith("pravega-archive[")]
-    if not archive:
-        return 0
+def gate_fig11_cores(path, doc):
+    """Shard-per-core scaling: 4 cores reach at least twice the 1-core
+    throughput, and only the multi-core run uses cross-core mailboxes."""
+    rows = {int(r["values"]["cores"]): r["values"] for r in doc["rows"]
+            if r["section"] == "cores" and r["series"] == "pravega-cores"}
+    need(path, 1 in rows and 4 in rows, f"need cores=1 and cores=4 rows, got {sorted(rows)}")
+    for row in (rows[1], rows[4]):
+        need_keys(path, row, ("max_throughput_mbps", "xcore_messages"), "pravega-cores row")
+    one, four = rows[1]["max_throughput_mbps"], rows[4]["max_throughput_mbps"]
+    need(path, four >= 2.0 * one,
+         f"4-core throughput {four:.1f} MB/s < 2x 1-core {one:.1f} MB/s — sharding is not scaling")
+    need(path, rows[1]["xcore_messages"] == 0,
+         "single-core run sent cross-core mailbox messages")
+    need(path, rows[4]["xcore_messages"] > 0,
+         "4-core run sent no cross-core mailbox messages")
+    return (f"fig11 cores OK: 1c={one:.1f} MB/s, 4c={four:.1f} MB/s "
+            f"({four / one:.1f}x), xcore@4c={int(rows[4]['xcore_messages'])}")
+
+
+def gate_fig12_readahead(path, doc):
+    """Readahead ablation: on and off rows, the read-pipeline metrics, and
+    prefetches issued only with readahead on."""
+    flags = {r["values"]["readahead"] for r in doc["rows"] if "readahead" in r["values"]}
+    need(path, flags >= {0, 1}, f"expected readahead on AND off rows, got {flags}")
+    on, off = need_rows(path, rows_by_series(doc, "pravega-single["),
+                        "pravega-single[readahead=on]", "pravega-single[readahead=off]")
+    need_keys(path, on["metrics"],
+              ("store.read.coalesced", "store.read.lts_fetches", "store.prefetch.issued",
+               "store.prefetch.hits", "store.prefetch.wasted_bytes"), "readahead=on row metrics")
+    need(path, on["metrics"]["store.prefetch.issued"] > 0, "readahead=on issued no prefetches")
+    need(path, off["metrics"].get("store.prefetch.issued") == 0,
+         "readahead=off issued prefetches")
+    return (f'fig12 ablation OK: single-reader catch-up '
+            f'on={on["values"]["catchup_mbps"]:.1f} MB/s '
+            f'off={off["values"]["catchup_mbps"]:.1f} MB/s, '
+            f'prefetch.issued={on["metrics"]["store.prefetch.issued"]}')
+
+
+def gate_fig12_archive(path, doc):
+    """Archive-tier ablation (codec + cold archive). Same seed, same writes:
+    the archive tier must never change the bytes the reader sees, only where
+    they come from and how long the first byte takes. Archive-on must hit
+    tape, pay a mount and show the deep first-byte latency; archive-off has
+    no tape library at all."""
+    rows = rows_by_series(doc, "pravega-archive[")
+    on, off = need_rows(path, rows, "pravega-archive[archive=on]", "pravega-archive[archive=off]")
     flags = set()
-    for i, row in archive:
-        where = f"rows[{i}]"
-        values = row["values"]
-        for key in ("archive", "payload_crc32", "crc_events", "compression_ratio"):
-            if key not in values:
-                fail(path, f"{where} is an archive-ablation row missing {key!r}")
-            check_number(path, values[key], f"{where}.values.{key}")
-        if values["archive"] not in (0, 1):
-            fail(path, f'{where}.values.archive must be 0 or 1: {values["archive"]!r}')
+    for name, row in rows.items():
+        values, metrics = row["values"], row["metrics"]
+        need_keys(path, values, ("archive", "payload_crc32", "crc_events", "compression_ratio"),
+                  f"archive-ablation row {name}")
+        need(path, values["archive"] in (0, 1),
+             f'{name}: values.archive must be 0 or 1: {values["archive"]!r}')
         flags.add(int(values["archive"]))
-        for key in ("lts.codec.raw_bytes", "lts.codec.stored_bytes",
-                    "lts.checksum_failures"):
-            if key not in row["metrics"]:
-                fail(path, f"{where} archive-ablation row missing metric {key!r}")
-    if flags != {0, 1}:
-        fail(path, f"archive ablation needs archive=0 AND archive=1 rows, got {flags}")
-    return len(archive)
+        need_keys(path, metrics,
+                  ("lts.codec.raw_bytes", "lts.codec.stored_bytes", "lts.checksum_failures"),
+                  f"archive-ablation row {name} metrics")
+    need(path, flags == {0, 1},
+         f"archive ablation needs archive=0 AND archive=1 rows, got {flags}")
+
+    crc_on, crc_off = on["values"]["payload_crc32"], off["values"]["payload_crc32"]
+    need(path, crc_on == crc_off != 0, f"payload CRC diverged: on={crc_on} off={crc_off}")
+    need(path, on["values"]["crc_events"] == off["values"]["crc_events"] > 0,
+         "archive on/off read different event counts")
+    for row in (on, off):
+        name, values, metrics = row["series"], row["values"], row["metrics"]
+        need(path, values["compression_ratio"] > 1,
+             f'{name}: lts compression_ratio not > 1: {values["compression_ratio"]}')
+        raw, stored = metrics["lts.codec.raw_bytes"], metrics["lts.codec.stored_bytes"]
+        need(path, stored > 0 and raw / stored > 1,
+             f"{name}: codec did not reduce bytes (raw={raw} stored={stored})")
+        need(path, metrics["lts.checksum_failures"] == 0,
+             f"{name}: checksum failures in a fault-free run")
+
+    m = on["metrics"]
+    need(path, m.get("sim.tape.mounts", 0) >= 1, "archive=on never mounted tape")
+    need(path, m.get("lts.archive.migrations", 0) >= 1, "nothing migrated")
+    need(path, m.get("lts.archive.reads", 0) >= 1, "no reads served from archive")
+    fb = m.get("sim.tape.first_byte_ns.p50_ns", 0)
+    need(path, fb >= 50e6, f"archive first-byte p50 too shallow: {fb} ns")
+    need(path, "sim.tape.ops" not in off["metrics"], "archive=off row has tape traffic")
+    return (f'fig12 archive OK: ratio={on["values"]["compression_ratio"]:.1f}x, '
+            f'migrations={m["lts.archive.migrations"]:.0f}, '
+            f'tape first-byte p50={fb / 1e6:.0f} ms, payload crc match')
 
 
-def check_fleet_rows(path, rows):
-    """The optional fleet-workload rows (fig13): aggregate-client fleet runs
-    driving the rebalance and quota policies. Every "fleet-" series row must
-    carry the fleet's scale facts and delivery counters; the placement pair
-    (static vs rebalance) additionally reports the load ratio and move
-    count, the quota pair the throttle/isolation outcomes.
-    """
-    fleet = [(i, r) for i, r in enumerate(rows)
-             if r["series"].startswith("fleet-")]
-    if not fleet:
-        return 0
-    series_seen = set()
-    for i, row in fleet:
-        where = f"rows[{i}]"
-        values = row["values"]
-        series_seen.add(row["series"])
-        for key in ("streams", "modeled_producers", "offered_events",
-                    "acked_events"):
-            if key not in values:
-                fail(path, f"{where} is a fleet row missing {key!r}")
-            check_number(path, values[key], f"{where}.values.{key}")
-            if values[key] < 0:
-                fail(path, f"{where}.values.{key} is negative")
-        if values["acked_events"] > values["offered_events"]:
-            fail(path, f"{where} acked more events than it offered")
-        if row["series"] in ("fleet-static", "fleet-rebalance"):
-            for key in ("max_min_ratio", "moves", "key_checksum_hi",
-                        "key_checksum_lo"):
-                if key not in values:
-                    fail(path, f"{where} placement row missing {key!r}")
-            if values["max_min_ratio"] < 1:
-                fail(path, f'{where} max_min_ratio < 1: {values["max_min_ratio"]}')
-        if row["series"] in ("fleet-noisy", "fleet-control"):
-            for key in ("quota_throttled_events", "steady_acked_frac",
-                        "noisy_splits"):
-                if key not in values:
-                    fail(path, f"{where} quota row missing {key!r}")
-            if not 0.0 <= values["steady_acked_frac"] <= 1.0:
-                fail(path, f'{where} steady_acked_frac out of [0,1]')
-    if "fleet-static" in series_seen and "fleet-rebalance" not in series_seen:
-        fail(path, "fleet placement sweep has static row but no rebalance row")
-    if "fleet-rebalance" in series_seen and "fleet-static" not in series_seen:
-        fail(path, "fleet placement sweep has rebalance row but no static row")
-    return len(fleet)
+def gate_fig13_fleet(path, doc):
+    """Fleet workload (fig13): one sim really models a fleet; the placement
+    pair (static vs rebalance) runs the same generated workload and
+    load-aware placement beats static cid % N; the quota pair throttles the
+    noisy tenant without starving the steady one."""
+    rows = rows_by_series(doc, "fleet-")
+    static, rebal, noisy, control = (r["values"] for r in need_rows(
+        path, rows, "fleet-static", "fleet-rebalance", "fleet-noisy", "fleet-control"))
+    for name, row in rows.items():
+        v = row["values"]
+        counts = ("streams", "modeled_producers", "offered_events", "acked_events")
+        need_keys(path, v, counts, f"fleet row {name}")
+        for key in counts:
+            need(path, v[key] >= 0, f"{name}: values.{key} is negative")
+        need(path, v["acked_events"] <= v["offered_events"],
+             f"{name} acked more events than it offered")
+    for v in (static, rebal):
+        need_keys(path, v, ("max_min_ratio", "moves", "key_checksum_hi", "key_checksum_lo"),
+                  "fleet placement row")
+        need(path, v["max_min_ratio"] >= 1, f'max_min_ratio < 1: {v["max_min_ratio"]}')
+        need(path, v["streams"] >= 10000, f'fleet run too small: {v["streams"]} streams')
+        need(path, v["modeled_producers"] >= 100000,
+             f'fleet run models only {v["modeled_producers"]} producers')
+        need(path, v["offered_events"] > 0 and v["acked_events"] == v["offered_events"],
+             "fleet run dropped events without a quota in play")
+    for v in (noisy, control):
+        need_keys(path, v, ("quota_throttled_events", "steady_acked_frac", "noisy_splits"),
+                  "fleet quota row")
+        need(path, 0.0 <= v["steady_acked_frac"] <= 1.0, "steady_acked_frac out of [0,1]")
+    for key in ("offered_events", "key_checksum_hi", "key_checksum_lo"):
+        need(path, static[key] == rebal[key], f"placement pair diverged on {key}")
+    need(path, static["moves"] == 0, "static row issued container moves")
+    need(path, rebal["moves"] >= 1, "rebalancer never moved a container")
+    need(path, static["max_min_ratio"] > 1.5,
+         f'skewed fleet did not imbalance static placement: {static["max_min_ratio"]:.2f}')
+    need(path, rebal["max_min_ratio"] < 0.8 * static["max_min_ratio"],
+         f'rebalancer did not reduce load ratio: static={static["max_min_ratio"]:.2f} '
+         f'rebalance={rebal["max_min_ratio"]:.2f}')
+    need(path, noisy["quota_throttled_events"] > 0, "noisy tenant was never throttled")
+    need(path, noisy["steady_acked_frac"] >= 0.9,
+         f'noisy neighbor starved the steady tenant: {noisy["steady_acked_frac"]:.3f}')
+    need(path, noisy["noisy_splits"] >= 1, "auto-scaler never split under noisy load")
+    need(path, control["quota_throttled_events"] == 0, "under-quota control run was throttled")
+    return (f'fig13 fleet OK: ratio static={static["max_min_ratio"]:.2f} -> '
+            f'rebalance={rebal["max_min_ratio"]:.2f} ({int(rebal["moves"])} moves); '
+            f'noisy throttled={int(noisy["quota_throttled_events"])}, '
+            f'steady acked frac={noisy["steady_acked_frac"]:.3f}, '
+            f'splits={int(noisy["noisy_splits"])}')
 
 
-def check_micro_core(path, doc):
+def gate_fig14_detection(path, doc):
+    """Chaos-scored detection: the fault-free control run stays silent and
+    within its guardrails; the fault runs reach recall and precision 0.9."""
+    need(path, "detection" in doc, "no detection section")
+    runs = {r["series"]: r for r in doc["detection"]["runs"]}
+    faulty = ("bookie-crash/default", "partition/default")
+    control = need_rows(path, runs, "control/default", *faulty)[0]
+    need(path, not control["alarms"], f'control run alarmed: {control["alarms"]}')
+    need(path, all(g["passed"] for g in control["guardrails"]), "control guardrail breached")
+    for series in faulty:
+        s = runs[series]["scores"]
+        need(path, s["recall"] >= 0.9, f'{series} recall {s["recall"]} < 0.9')
+        need(path, s["precision"] >= 0.9, f'{series} precision {s["precision"]} < 0.9')
+        need(path, s["faults"] > 0, f"{series} injected no faults")
+    return "fig14 detection OK: " + ", ".join(
+        f'{s}={runs[s]["scores"]["recall"]:.2f}R/{runs[s]["scores"]["precision"]:.2f}P'
+        for s in faulty)
+
+
+def gate_micro_core(path, doc):
     """bench_micro_core must publish the DES-engine row: scheduler events,
     the wall-clock dispatch rate, and the deterministic copy budget."""
     engine = [r for r in doc["rows"] if r["series"] == "engine"]
-    if len(engine) != 1:
-        fail(path, f"micro_core needs exactly one engine row, got {len(engine)}")
+    need(path, len(engine) == 1, f"micro_core needs exactly one engine row, got {len(engine)}")
     values = engine[0]["values"]
-    for key in ("events", "events_per_sec", "bytes_copied_per_event",
-                "copy_ops_per_event"):
-        if key not in values:
-            fail(path, f"engine row missing {key!r}")
-        check_number(path, values[key], f"engine.values.{key}")
-    if values["events"] <= 0:
-        fail(path, f'engine row executed no events: {values["events"]!r}')
-    if values["events_per_sec"] < 0:
-        fail(path, f'engine events_per_sec negative: {values["events_per_sec"]!r}')
-    if values["bytes_copied_per_event"] <= 0:
-        fail(path, "engine bytes_copied_per_event must be positive "
-                   "(the framing copy always counts)")
+    need_keys(path, values,
+              ("events", "events_per_sec", "bytes_copied_per_event", "copy_ops_per_event"),
+              "engine row")
+    need(path, values["events"] > 0, f'engine row executed no events: {values["events"]!r}')
+    need(path, values["events_per_sec"] >= 0,
+         f'engine events_per_sec negative: {values["events_per_sec"]!r}')
+    need(path, values["bytes_copied_per_event"] > 0,
+         "engine bytes_copied_per_event must be positive (the framing copy always counts)")
+    return "micro_core engine row OK"
+
+
+# Per-bench gates, keyed by the JSON's "name".
+GATES = {
+    "fig10_parallelism": (gate_cores_sweep,),
+    "fig11_max_throughput": (gate_cores_sweep, gate_fig11_cores),
+    "fig12_historical_reads": (gate_fig12_readahead, gate_fig12_archive),
+    "fig13_autoscaling": (gate_fig13_fleet,),
+    "fig14_detection": (gate_fig14_detection,),
+    "micro_core": (gate_micro_core,),
+}
 
 
 def validate(path):
@@ -279,19 +383,11 @@ def validate(path):
     if "detection" in doc:
         check_detection(path, doc["detection"])
         runs = len(doc["detection"]["runs"])
-    cores_rows = check_cores_rows(path, doc["rows"])
-    archive_rows = check_archive_rows(path, doc["rows"])
-    fleet_rows = check_fleet_rows(path, doc["rows"])
-    if doc["name"] == "micro_core":
-        check_micro_core(path, doc)
+    passed = [gate(path, doc) for gate in GATES.get(doc["name"], ())]
     suffix = f", {runs} detection runs" if runs else ""
-    if cores_rows:
-        suffix += f", {cores_rows} cores-sweep rows"
-    if archive_rows:
-        suffix += f", {archive_rows} archive-ablation rows"
-    if fleet_rows:
-        suffix += f", {fleet_rows} fleet rows"
     print(f"{path}: OK ({len(doc['rows'])} rows{suffix})")
+    for line in passed:
+        print(f"  {line}")
 
 
 def main():

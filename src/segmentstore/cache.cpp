@@ -103,7 +103,7 @@ Result<CacheAddress> BlockCache::insert(BytesView data) {
     meta(last).prev = kInvalidAddress;
 
     size_t pos = std::min<size_t>(data.size(), cfg_.blockSize);
-    std::memcpy(blockData(last), data.data(), pos);
+    if (pos > 0) std::memcpy(blockData(last), data.data(), pos);
     meta(last).length = static_cast<uint32_t>(pos);
     storedBytes_ += pos;
 
